@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -31,12 +32,7 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import (
     X25519PublicKey,
 )
 from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
-from cryptography.hazmat.primitives.serialization import (
-    Encoding,
-    NoEncryption,
-    PrivateFormat,
-    PublicFormat,
-)
+from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 
 from .errors import DecryptFailed, MalformedTx
 
@@ -62,7 +58,7 @@ class KeyPair:
     seed: bytes
     public_key: bytes  # ed25519 pub || x25519 pub
 
-    @property
+    @cached_property
     def key_digest(self) -> bytes:
         return key_digest(self.public_key)
 
@@ -207,9 +203,3 @@ def keypair_from_label(label: str) -> KeyPair:
     """Convenience: a reproducible key pair named by a text label."""
     return generate_keypair(digest(b"sensormarket/keypair/" + label.encode()))
 
-
-# Exporting the raw private scalar is only needed by tests probing determinism.
-def _raw_signing_private(seed: bytes) -> bytes:
-    return _signing_key(seed).private_bytes(
-        Encoding.Raw, PrivateFormat.Raw, NoEncryption()
-    )

@@ -118,10 +118,6 @@ class RecordTooLarge(SensorMarketError):
     pass
 
 
-class NotOwner(SensorMarketError):
-    pass
-
-
 class UnknownName(SensorMarketError):
     pass
 

@@ -6,11 +6,15 @@ first input witness, and answers with a delivery transaction whose payload
 carries the datum encrypted for that key (inline if it fits the payload cap,
 otherwise anchored in the datastore).  The requester decrypts on receipt.
 Exactly two on-chain transactions per honest exchange.
+
+Each actor keeps a high-water mark, the last height it has scanned, and on
+every block scans only the heights that have since reached its confirmation
+depth, so it examines a confirmed transaction once, not once per block.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import crypto, datastore, payload as payload_tags
@@ -87,6 +91,8 @@ class SensorActor:
         self.wallet = Wallet(keypair, node)
         self.handled: set[bytes] = set()
         self.fulfillments: list[dict] = []
+        self._scanned_height = 0
+        self._pending: list[PaymentNotice] = []
         self._rng = sim.rng(f"sensor/{actor_id}")
         node.on_block.append(self._on_block)
 
@@ -95,11 +101,15 @@ class SensorActor:
             self.fulfill(notice)
 
     def detect_payment(self) -> list[PaymentNotice]:
-        """Confirmed, not-yet-handled incoming payments meeting the price."""
-        notices = []
-        top = self.node.known_height
-        cutoff = top - self.confirmation_depth + 1
-        for height in range(1, cutoff + 1):
+        """Confirmed, not-yet-handled incoming payments meeting the price.
+
+        A notice stays pending until ``fulfill`` adds its payment to
+        ``handled``: one whose fulfilment failed (``NoSensorFunds``) is
+        offered again, ahead of those from newly confirmed heights.
+        """
+        self._pending = [n for n in self._pending if n.payment_txid not in self.handled]
+        cutoff = self.node.known_height - self.confirmation_depth + 1
+        for height in range(self._scanned_height + 1, cutoff + 1):
             for tx in self.sim.chain.blocks[height].transactions:
                 tid = txid(tx)
                 if tid in self.handled:
@@ -122,8 +132,9 @@ class SensorActor:
                         price=self.price_per_datum,
                     )
                     continue
-                notices.append(PaymentNotice(tid, payer_key, amount, height))
-        return notices
+                self._pending.append(PaymentNotice(tid, payer_key, amount, height))
+        self._scanned_height = max(self._scanned_height, cutoff)
+        return list(self._pending)
 
     def _is_plain_payment(self, tx: Transaction) -> bool:
         """True when every input spends an ordinary key-hash output."""
@@ -200,7 +211,7 @@ class RequesterActor:
         self.outstanding: list[_Request] = []
         self.deliveries: list[DatumDelivery] = []
         self.failures: list[dict] = []
-        self._seen_deliveries: set[bytes] = set()
+        self._scanned_height = 0
         self.on_datum: list[Callable[[DatumDelivery], None]] = []
         node.on_block.append(self._on_block)
 
@@ -219,18 +230,19 @@ class RequesterActor:
         self.receive_datum()
 
     def receive_datum(self) -> list[DatumDelivery]:
-        """Decrypt confirmed deliveries matching outstanding requests."""
+        """Decrypt confirmed deliveries matching outstanding requests.
+
+        A delivery that fails to decrypt is recorded in ``failures`` once;
+        its request stays outstanding.
+        """
         new: list[DatumDelivery] = []
-        top = self.node.known_height
-        cutoff = top - self.confirmation_depth + 1
-        for height in range(1, cutoff + 1):
+        cutoff = self.node.known_height - self.confirmation_depth + 1
+        for height in range(self._scanned_height + 1, cutoff + 1):
             for tx in self.sim.chain.blocks[height].transactions:
-                tid = txid(tx)
-                if tid in self._seen_deliveries:
-                    continue
-                delivery = self._try_take_delivery(tx, tid, height)
+                delivery = self._try_take_delivery(tx, txid(tx), height)
                 if delivery is not None:
                     new.append(delivery)
+        self._scanned_height = max(self._scanned_height, cutoff)
         for d in new:
             self.deliveries.append(d)
             for hook in self.on_datum:
@@ -257,7 +269,6 @@ class RequesterActor:
         request = next(
             (r for r in self.outstanding if r.sensor_digest == sender_digest), None
         )
-        self._seen_deliveries.add(tid)
         if request is None:
             return None
         try:

@@ -14,7 +14,7 @@ be combined into one transaction later.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
 from . import crypto, wire
@@ -464,7 +464,7 @@ class Chain:
         )
         self.blocks: list[Block] = []
         self.utxo = UtxoSet()
-        self.tx_index: dict[bytes, int] = {}  # txid -> block height
+        self.tx_index: dict[bytes, tuple[int, int]] = {}  # txid -> (height, position)
         self._undo: list[_Undo] = []
         self._apply_genesis(genesis)
 
@@ -478,14 +478,14 @@ class Chain:
 
     def _apply_genesis(self, genesis: Block) -> None:
         undo = _Undo(spent=[], created=[])
-        for tx in genesis.transactions:
+        for pos, tx in enumerate(genesis.transactions):
             if tx.inputs:
                 raise InvalidTxInBlock("genesis transactions must not spend inputs")
             tid = txid(tx)
             for i, out in enumerate(tx.outputs):
                 self.utxo.add((tid, i), out, 0)
                 undo.created.append((tid, i))
-            self.tx_index[tid] = 0
+            self.tx_index[tid] = (0, pos)
         self.blocks.append(genesis)
         self._undo.append(undo)
 
@@ -499,7 +499,7 @@ class Chain:
         undo = _Undo(spent=[], created=[])
         total_fees = 0
         try:
-            for tx in block.transactions:
+            for pos, tx in enumerate(block.transactions):
                 validate_transaction(tx, self.utxo, block.height)
                 total_fees += tx_fee(tx, self.utxo)
                 tid = txid(tx)
@@ -508,7 +508,7 @@ class Chain:
                 for i, out in enumerate(tx.outputs):
                     self.utxo.add((tid, i), out, block.height)
                     undo.created.append((tid, i))
-                self.tx_index[tid] = block.height
+                self.tx_index[tid] = (block.height, pos)
         except Exception as exc:
             self._rollback(undo, block)
             if isinstance(exc, (MalformedTx, MissingUtxo, BadSignature,
@@ -531,7 +531,9 @@ class Chain:
         for outpoint, entry in undo.spent:
             self.utxo.add(outpoint, entry.output, entry.height)
         for tx in block.transactions:
-            self.tx_index.pop(txid(tx), None)
+            tid = txid(tx)
+            if self.tx_index.get(tid, (None, None))[0] == block.height:  # not an earlier copy
+                del self.tx_index[tid]
 
     def revert_block(self) -> Block:
         if self.height == 0:
@@ -543,7 +545,7 @@ class Chain:
 
     def confirmations(self, tid: bytes, as_of_height: Optional[int] = None) -> Optional[int]:
         """Burial depth at ``as_of_height`` (default tip); None if unconfirmed."""
-        h = self.tx_index.get(tid)
+        h, _ = self.tx_index.get(tid, (None, None))
         if h is None:
             return None
         top = self.height if as_of_height is None else as_of_height
@@ -552,13 +554,10 @@ class Chain:
         return top - h + 1
 
     def find_tx(self, tid: bytes) -> Optional[Transaction]:
-        h = self.tx_index.get(tid)
-        if h is None:
+        height, pos = self.tx_index.get(tid, (None, None))
+        if height is None:
             return None
-        for tx in self.blocks[h].transactions:
-            if txid(tx) == tid:
-                return tx
-        return None
+        return self.blocks[height].transactions[pos]
 
 
 def scan_chain_safety(chain: Chain) -> None:

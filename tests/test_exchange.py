@@ -1,10 +1,14 @@
 """The two-transaction datum purchase flow."""
 
+from collections import Counter
+
 import pytest
 
+from sensormarket import exchange
 from sensormarket.datastore import Store
 from sensormarket.errors import NoSensorFunds
 from sensormarket.exchange import MARKER_VALUE, RequesterActor, SensorActor
+from sensormarket.ledger import txid
 
 from conftest import make_keypair, make_sim, run_blocks
 
@@ -141,3 +145,67 @@ def test_unrelated_payment_between_actors_is_ignored():
     sim.broadcast(tx, sim.nodes[1])
     run_blocks(sim, 6)
     assert not requester.deliveries
+
+
+# --- incremental scanning ---------------------------------------------------
+
+def test_failed_fulfilment_is_retried_once_funded():
+    sim, requester, sensor = setup_pair(sensor_funds=10, default_fee=500)
+    payment = requester.initiate_purchase(sensor.wallet.key_digest, PRICE)
+    with pytest.raises(NoSensorFunds):
+        run_blocks(sim, 8)
+    assert not sensor.fulfillments
+    # The top-up funds the sensor, and is itself a payment it answers.
+    top_up = requester.wallet.pay(sensor.wallet.key_digest, 2_000, fee=500)
+    sim.broadcast(top_up, sim.nodes[0])
+    run_blocks(sim, 8)
+    paid = [f["payment_txid"] for f in sensor.fulfillments]
+    assert paid.count(txid(payment).hex()) == 1
+    assert paid.count(txid(top_up).hex()) == 1
+    assert [d.payment_txid for d in requester.deliveries] == [txid(payment)]
+
+
+def test_detect_payment_is_idempotent_until_fulfilled():
+    sim, requester, sensor = setup_pair()
+    sim.nodes[1].on_block.remove(sensor._on_block)
+    requester.initiate_purchase(sensor.wallet.key_digest, PRICE)
+    requester.initiate_purchase(sensor.wallet.key_digest, PRICE)
+    run_blocks(sim, 4)
+    first = sensor.detect_payment()
+    assert len(first) == 2
+    assert sensor.detect_payment() == first
+    sensor.fulfill(first[0])
+    assert sensor.detect_payment() == first[1:]
+
+
+def test_sensor_built_after_confirmation_sees_the_payment():
+    req_kp, sensor_kp = make_keypair(20), make_keypair(21)
+    sim = make_sim([(req_kp, 100_000), (sensor_kp, 5_000)], num_nodes=2)
+    requester = RequesterActor(sim, sim.nodes[0], req_kp)
+    payment = requester.initiate_purchase(sensor_kp.key_digest, PRICE)
+    run_blocks(sim, 4)
+    assert sim.chain.confirmations(txid(payment)) >= 3
+    sensor = SensorActor(sim, sim.nodes[1], sensor_kp, PRICE, lambda t: b"late")
+    assert [n.payment_txid for n in sensor.detect_payment()] == [txid(payment)]
+    run_blocks(sim, 4)
+    assert [d.plaintext for d in requester.deliveries] == [b"late"]
+
+
+def test_each_confirmed_tx_is_examined_once_per_actor(monkeypatch):
+    seen = Counter()
+
+    def counting_txid(tx):
+        tid = txid(tx)
+        seen[tid] += 1
+        return tid
+
+    monkeypatch.setattr(exchange, "txid", counting_txid)
+    sim, requester, sensor = setup_pair()
+    for _ in range(3):
+        requester.initiate_purchase(sensor.wallet.key_digest, PRICE)
+    run_blocks(sim, 12)
+    assert len(requester.deliveries) == 3
+    confirmed = [txid(tx) for b in sim.chain.blocks[1:] for tx in b.transactions]
+    assert len(confirmed) == 6
+    # One look by each of the two actors, plus one when the tx was built.
+    assert all(seen[tid] <= 3 for tid in confirmed), seen

@@ -383,6 +383,30 @@ def test_confirmations_and_find_tx():
     assert chain.find_tx(b"\x00" * 32) is None
 
 
+def test_find_tx_uses_block_position():
+    chain = make_chain((A, 1000), (B, 500))
+    t1 = spend(chain, genesis_outpoint(chain, 0),
+               [TxOutput(990, PayToKeyHash(C.key_digest))], A)
+    t2 = spend(chain, genesis_outpoint(chain, 1),
+               [TxOutput(490, PayToKeyHash(C.key_digest))], B)
+    mine(chain, [t1, t2], 20)
+    assert chain.tx_index[txid(t1)] == (1, 0)
+    assert chain.tx_index[txid(t2)] == (1, 1)
+    assert chain.find_tx(txid(t2)) == t2
+    assert chain.find_tx(txid(chain.blocks[0].transactions[0])) is chain.blocks[0].transactions[0]
+
+
+def test_rejected_block_repeating_a_confirmed_tx_keeps_its_index():
+    chain = make_chain((A, 1000))
+    tx = spend(chain, genesis_outpoint(chain),
+               [TxOutput(990, PayToKeyHash(B.key_digest))], A)
+    mine(chain, [tx], 10)
+    with pytest.raises(InvalidTxInBlock):
+        chain.apply_block(next_block(chain, [tx], 10))
+    assert chain.find_tx(txid(tx)) == tx
+    assert chain.confirmations(txid(tx)) == 1
+
+
 def test_scan_chain_safety_accepts_honest_history():
     chain = make_chain((A, 1000))
     t1 = spend(chain, genesis_outpoint(chain),

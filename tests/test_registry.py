@@ -73,7 +73,7 @@ def test_same_block_collision_lower_txid_wins():
     entry = registry.index["shared"]
     assert entry.registration_txid == txid(winner)
     # Both registrations landed in the same block, so the rule really fired.
-    assert sim.chain.tx_index[txid(t0)] == sim.chain.tx_index[txid(t1)]
+    assert sim.chain.tx_index[txid(t0)][0] == sim.chain.tx_index[txid(t1)][0]
 
 
 def test_earlier_block_beats_later_registration():

@@ -114,7 +114,7 @@ def test_when_confirmed_fires_once_at_depth():
     sim.nodes[0].when_confirmed(txid(tx), 2, lambda: hits.append(sim.chain.height))
     run_blocks(sim, 6)
     assert len(hits) == 1
-    height = sim.chain.tx_index[txid(tx)]
+    height, _ = sim.chain.tx_index[txid(tx)]
     assert hits[0] >= height + 1  # at least depth 2 when it fired
 
 
