@@ -77,7 +77,6 @@ class Channel:
         self.settle_txid: Optional[bytes] = None
         self.paid_total = 0
         self.datums_delivered: list[bytes] = []
-        self._pending: list[Callable[[], None]] = []
         self._stale_flagged = False
 
         fee = sim.config.default_fee
@@ -137,15 +136,6 @@ class Channel:
 
     def _on_funded(self) -> None:
         self.funded = True
-        pending, self._pending = self._pending, []
-        for action in pending:
-            action()
-
-    def _once_funded(self, action: Callable[[], None]) -> None:
-        if self.funded:
-            action()
-        else:
-            self._pending.append(action)
 
     # --- operations ---------------------------------------------------------
 
@@ -188,7 +178,9 @@ class Channel:
         self.closed = True
         settlement = self.state.settlement_tx
         self.settle_txid = txid(settlement)
-        self._once_funded(lambda: self.sim.broadcast(settlement, self.node))
+        self.node.when_confirmed(
+            self.funding_txid, 1, lambda: self.sim.broadcast(settlement, self.node)
+        )
         return settlement
 
     def broadcast_settlement(self, state: ChannelState) -> Transaction:

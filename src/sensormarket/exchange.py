@@ -7,9 +7,9 @@ carries the datum encrypted for that key (inline if it fits the payload cap,
 otherwise anchored in the datastore).  The requester decrypts on receipt.
 Exactly two on-chain transactions per honest exchange.
 
-Each actor keeps a high-water mark, the last height it has scanned, and on
-every block scans only the heights that have since reached its confirmation
-depth, so it examines a confirmed transaction once, not once per block.
+Each actor follows its node (``Node.follow``) at its confirmation depth: it
+is handed every block once, when that block is deep enough, so it examines a
+confirmed transaction once, not once per block.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .errors import (
     AllReplicasBadOrMissing,
     AnchorMismatch,
     DecryptFailed,
-    InsufficientFunds,
+    MalformedTx,
     NoSensorFunds,
 )
 from .ledger import Block, MAX_PAYLOAD, PayToKeyHash, Transaction, TxOutput, txid
@@ -84,16 +84,15 @@ class SensorActor:
         self.keypair = keypair
         self.price_per_datum = price_per_datum
         self.datum_source = datum_source
-        self.confirmation_depth = confirmation_depth
         self.stores = stores or []
         self.replication = replication
         self.actor_id = actor_id
         self.wallet = Wallet(keypair, node)
         self.handled: set[bytes] = set()
         self.fulfillments: list[dict] = []
-        self._scanned_height = 0
         self._pending: list[PaymentNotice] = []
         self._rng = sim.rng(f"sensor/{actor_id}")
+        node.follow(self._scan_payments, confirmation_depth)
         node.on_block.append(self._on_block)
 
     def _on_block(self, block: Block) -> None:
@@ -105,36 +104,35 @@ class SensorActor:
 
         A notice stays pending until ``fulfill`` adds its payment to
         ``handled``: one whose fulfilment failed (``NoSensorFunds``) is
-        offered again, ahead of those from newly confirmed heights.
+        offered again, ahead of those from blocks confirmed since.
         """
         self._pending = [n for n in self._pending if n.payment_txid not in self.handled]
-        cutoff = self.node.known_height - self.confirmation_depth + 1
-        for height in range(self._scanned_height + 1, cutoff + 1):
-            for tx in self.sim.chain.blocks[height].transactions:
-                tid = txid(tx)
-                if tid in self.handled:
-                    continue
-                payer_key = _first_witness_key(tx)
-                if payer_key is None or crypto.key_digest(payer_key) == self.wallet.key_digest:
-                    continue  # our own spend (change back to us) is not a payment
-                if not self._is_plain_payment(tx):
-                    continue  # contract settlements are not datum requests
-                amount = sum(out.value for _, out in _paying_outputs(tx, self.wallet.key_digest))
-                if amount == 0:
-                    continue
-                if amount < self.price_per_datum:
-                    self.handled.add(tid)
-                    self.sim.log_event(
-                        "underpayment",
-                        sensor=self.actor_id,
-                        payment_txid=tid.hex(),
-                        amount=amount,
-                        price=self.price_per_datum,
-                    )
-                    continue
-                self._pending.append(PaymentNotice(tid, payer_key, amount, height))
-        self._scanned_height = max(self._scanned_height, cutoff)
         return list(self._pending)
+
+    def _scan_payments(self, block: Block) -> None:
+        for tx in block.transactions:
+            tid = txid(tx)
+            if tid in self.handled:
+                continue
+            payer_key = _first_witness_key(tx)
+            if payer_key is None or crypto.key_digest(payer_key) == self.wallet.key_digest:
+                continue  # our own spend (change back to us) is not a payment
+            if not self._is_plain_payment(tx):
+                continue  # contract settlements are not datum requests
+            amount = sum(out.value for _, out in _paying_outputs(tx, self.wallet.key_digest))
+            if amount == 0:
+                continue
+            if amount < self.price_per_datum:
+                self.handled.add(tid)
+                self.sim.log_event(
+                    "underpayment",
+                    sensor=self.actor_id,
+                    payment_txid=tid.hex(),
+                    amount=amount,
+                    price=self.price_per_datum,
+                )
+                continue
+            self._pending.append(PaymentNotice(tid, payer_key, amount, block.height))
 
     def _is_plain_payment(self, tx: Transaction) -> bool:
         """True when every input spends an ordinary key-hash output."""
@@ -147,6 +145,10 @@ class SensorActor:
         return True
 
     def fulfill(self, notice: PaymentNotice) -> Transaction:
+        # Checked before the datum is sealed and stored: a failed fulfilment stores nothing.
+        fee = self.sim.config.default_fee
+        if self.wallet.balance < MARKER_VALUE + fee:
+            raise NoSensorFunds(f"need {MARKER_VALUE + fee}, wallet has {self.wallet.balance}")
         datum = self.datum_source(self.sim.clock)
         envelope = crypto.encrypt_for(
             notice.payer_public_key, datum, ephemeral_seed=self._rng.randbytes(32)
@@ -160,13 +162,9 @@ class SensorActor:
             data = bytes([payload_tags.DATUM_ANCHORED]) + anchor.serialize()
             mode = "anchored"
         payer_digest = crypto.key_digest(notice.payer_public_key)
-        try:
-            tx = self.wallet.create_tx(
-                [TxOutput(MARKER_VALUE, PayToKeyHash(payer_digest), data)],
-                fee=self.sim.config.default_fee,
-            )
-        except InsufficientFunds as exc:
-            raise NoSensorFunds(str(exc)) from exc
+        tx = self.wallet.create_tx(
+            [TxOutput(MARKER_VALUE, PayToKeyHash(payer_digest), data)], fee=fee
+        )
         self.handled.add(notice.payment_txid)
         self.sim.broadcast(tx, self.node)
         self.fulfillments.append(
@@ -204,16 +202,14 @@ class RequesterActor:
         self.sim = sim
         self.node = node
         self.keypair = keypair
-        self.confirmation_depth = confirmation_depth
         self.stores = {s.store_id: s for s in (stores or [])}
         self.actor_id = actor_id
         self.wallet = Wallet(keypair, node)
         self.outstanding: list[_Request] = []
         self.deliveries: list[DatumDelivery] = []
         self.failures: list[dict] = []
-        self._scanned_height = 0
         self.on_datum: list[Callable[[DatumDelivery], None]] = []
-        node.on_block.append(self._on_block)
+        node.follow(self.receive_datum, confirmation_depth)
 
     def initiate_purchase(
         self, sensor_payment_digest: bytes, price: int, amount: Optional[int] = None
@@ -226,28 +222,18 @@ class RequesterActor:
         self.sim.broadcast(tx, self.node)
         return tx
 
-    def _on_block(self, block: Block) -> None:
-        self.receive_datum()
+    def receive_datum(self, block: Block) -> None:
+        """Decrypt the block's deliveries that match outstanding requests.
 
-    def receive_datum(self) -> list[DatumDelivery]:
-        """Decrypt confirmed deliveries matching outstanding requests.
-
-        A delivery that fails to decrypt is recorded in ``failures`` once;
-        its request stays outstanding.
+        A delivery that is malformed or fails to decrypt is recorded in
+        ``failures`` once; its request stays outstanding.
         """
-        new: list[DatumDelivery] = []
-        cutoff = self.node.known_height - self.confirmation_depth + 1
-        for height in range(self._scanned_height + 1, cutoff + 1):
-            for tx in self.sim.chain.blocks[height].transactions:
-                delivery = self._try_take_delivery(tx, txid(tx), height)
-                if delivery is not None:
-                    new.append(delivery)
-        self._scanned_height = max(self._scanned_height, cutoff)
-        for d in new:
-            self.deliveries.append(d)
-            for hook in self.on_datum:
-                hook(d)
-        return new
+        for tx in block.transactions:
+            delivery = self._try_take_delivery(tx, txid(tx), block.height)
+            if delivery is not None:
+                self.deliveries.append(delivery)
+                for hook in self.on_datum:
+                    hook(delivery)
 
     def _try_take_delivery(
         self, tx: Transaction, tid: bytes, height: int
@@ -290,7 +276,7 @@ class RequesterActor:
                     raise AnchorMismatch("fetched content does not match anchor")
                 envelope = crypto.CipherEnvelope.deserialize(sealed)
             plaintext = crypto.decrypt(self.keypair.seed, envelope)
-        except (DecryptFailed, AnchorMismatch) as exc:
+        except (DecryptFailed, AnchorMismatch, MalformedTx) as exc:
             # Request stays outstanding; the failure is surfaced in the report.
             self.failures.append(
                 {

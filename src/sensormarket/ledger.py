@@ -129,7 +129,7 @@ def read_predicate(r: wire.Reader) -> Predicate:
         return TimeLocked(height, read_predicate(r))
     if tag == 0x04:
         oracle_key = r.varbytes()
-        expression_id = r.varbytes().decode()
+        expression_id = r.text()
         return OracleGated(oracle_key, expression_id, read_predicate(r))
     if tag == 0x05:
         return AnyoneCanSpend()

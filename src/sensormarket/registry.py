@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import crypto, datastore, payload as payload_tags, wire
-from .errors import MalformedTx, RecordTooLarge, UnknownName
+from .errors import AllReplicasBadOrMissing, MalformedTx, RecordTooLarge, UnknownName
 from .ledger import (
     Block,
     Chain,
@@ -60,14 +60,14 @@ class SensorRecord:
     @classmethod
     def deserialize(cls, data: bytes) -> "SensorRecord":
         r = wire.Reader(data)
-        name = r.varbytes().decode()
+        name = r.text()
         if len(name.encode()) > MAX_NAME_LEN:
             raise MalformedTx("name too long")
         owner = r.read(crypto.KEY_DIGEST_LEN)
         payment = r.read(crypto.KEY_DIGEST_LEN) if r.u8() else owner
-        data_type = r.varbytes().decode()
+        data_type = r.text()
         price = r.u64()
-        endpoint = r.varbytes().decode()
+        endpoint = r.text()
         r.expect_end()
         return cls(name, owner, payment, data_type, price, endpoint)
 
@@ -91,7 +91,7 @@ def _record_from_payload(
             return None
         blob = datastore.fetch(anchor, stores)
         return SensorRecord.deserialize(blob)
-    except Exception:
+    except (MalformedTx, AllReplicasBadOrMissing):
         return None  # malformed or unfetchable records are simply not indexed
 
 
@@ -101,11 +101,6 @@ class Registry:
     def __init__(self, stores: Optional[dict[int, datastore.Store]] = None):
         self.index: dict[str, IndexEntry] = {}
         self.stores = stores
-
-    def attach(self, node: Node) -> None:
-        node.on_block.append(self.apply_block)
-        for block in node.sim.chain.blocks[: node.known_height + 1]:
-            self.apply_block(block)
 
     def apply_block(self, block: Block) -> None:
         registrations: dict[str, list[tuple[bytes, SensorRecord]]] = {}

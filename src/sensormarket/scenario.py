@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from . import contracts, crypto, datastore, registry as registry_mod
 from .channels import Channel
@@ -167,7 +167,7 @@ class ScenarioRun:
         ]
         stores_by_id = {s.store_id: s for s in stores}
         self.registry = registry_mod.Registry(stores_by_id)
-        self.registry.attach(self.sim.nodes[0])
+        self.sim.nodes[0].follow(self.registry.apply_block)
 
         store_iter = iter(stores)
         from .wallet import Wallet
@@ -233,17 +233,6 @@ class ScenarioRun:
 
     # --- step dispatch ------------------------------------------------------
 
-    def _retry_on_block(self, node: Node, attempt: Callable[[], bool]) -> None:
-        """Run attempt now; while it reports failure, retry at each block."""
-        if attempt():
-            return
-
-        def hook(_block):
-            if attempt():
-                node.on_block.remove(hook)
-
-        node.on_block.append(hook)
-
     def _run_step(self, step: dict) -> None:
         handler = getattr(self, f"_step_{step['op']}", None)
         if handler is None:
@@ -293,7 +282,7 @@ class ScenarioRun:
             )
             return True
 
-        self._retry_on_block(actor.node, attempt)
+        actor.node.retry(attempt)
 
     def _step_transfer(self, step: dict) -> None:
         src = self._actors[step["from"]]
@@ -435,11 +424,10 @@ class ScenarioRun:
             expr_b["id"],
         )
         self._bets[step.get("bet", "bet")] = bet
-        party_a.node.on_block.append(lambda _b: bet.maybe_settle())
+        party_a.node.retry(lambda: bet.maybe_settle() is not None)
 
     def _step_tamper_store(self, step: dict) -> None:
         store = self._actors[step["store"]].store
-        node = self.sim.nodes[0]
 
         def attempt() -> bool:
             if not store.blobs:
@@ -448,7 +436,7 @@ class ScenarioRun:
                 store.tamper(blob_id, int(step.get("position", 0)))
             return True
 
-        self._retry_on_block(node, attempt)
+        self.sim.nodes[0].retry(attempt)
 
     # --- execution and reporting --------------------------------------------
 

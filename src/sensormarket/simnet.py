@@ -4,6 +4,10 @@ One seeded RNG is split per-subsystem by fixed labels so that adding an actor
 never perturbs unrelated draws.  A single designated producer (node 0) builds
 blocks at exponentially distributed intervals; there are no forks.  Simulated
 time only — wall clock is never consulted.
+
+Each node has one hook list, ``Node.on_block``, run in registration order at
+every delivered block.  ``follow``, ``retry`` and ``when_confirmed`` are built
+on it; nothing else that reacts to blocks keeps a list or a scan of its own.
 """
 
 from __future__ import annotations
@@ -61,7 +65,6 @@ class Node:
         self.mempool = Mempool()
         self.known_height = 0
         self.on_block: list[Callable[[Block], None]] = []
-        self._watches: list[tuple[bytes, int, Callable[[], None]]] = []
 
     def receive_tx(self, tx: Transaction) -> bool:
         try:
@@ -75,21 +78,45 @@ class Node:
     def deliver_block(self, block: Block) -> None:
         self.known_height = block.height
         self.mempool.drop_confirmed(block.transactions, self.sim.chain)
-        for tid, k, callback in list(self._watches):
-            confs = self.sim.chain.confirmations(tid, as_of_height=self.known_height)
-            if confs is not None and confs >= k:
-                self._watches.remove((tid, k, callback))
-                callback()
         for hook in list(self.on_block):
             hook(block)
 
+    def follow(self, hook: Callable[[Block], None], depth: int = 1) -> None:
+        """Call hook once per block, in height order from genesis, when the block
+        has ``depth`` confirmations here; blocks already that deep pass now."""
+        next_height = 0
+
+        def step(_block: Optional[Block] = None) -> None:
+            nonlocal next_height
+            while next_height <= self.known_height - depth + 1:
+                block = self.sim.chain.blocks[next_height]
+                next_height += 1
+                hook(block)
+
+        self.on_block.append(step)
+        step()
+
+    def retry(self, attempt: Callable[[], bool]) -> None:
+        """Run attempt now; while it reports failure, retry at each block."""
+
+        def hook(_block: Optional[Block] = None) -> None:
+            if attempt():
+                self.on_block.remove(hook)
+
+        self.on_block.append(hook)
+        hook()
+
     def when_confirmed(self, tid: bytes, k: int, callback: Callable[[], None]) -> None:
         """Run callback once the tx has >= k confirmations at this node."""
-        confs = self.sim.chain.confirmations(tid, as_of_height=self.known_height)
-        if confs is not None and confs >= k:
+
+        def attempt() -> bool:
+            confs = self.sim.chain.confirmations(tid, as_of_height=self.known_height)
+            if confs is None or confs < k:
+                return False
             callback()
-        else:
-            self._watches.append((tid, k, callback))
+            return True
+
+        self.retry(attempt)
 
 
 def confirmations(node: Node, tid: bytes) -> int:

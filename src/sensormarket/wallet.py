@@ -49,9 +49,7 @@ class Wallet:
         self.keypair = keypair
         self.node = node
         self.utxos: dict[tuple[bytes, int], int] = {}
-        node.on_block.append(self._scan_block)
-        for block in node.sim.chain.blocks[: node.known_height + 1]:
-            self._scan_block(block)
+        node.follow(self._scan_block)
 
     @property
     def key_digest(self) -> bytes:

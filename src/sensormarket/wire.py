@@ -70,6 +70,12 @@ class Reader:
     def varbytes(self) -> bytes:
         return self.read(self.u16())
 
+    def text(self) -> str:
+        try:
+            return self.varbytes().decode()
+        except UnicodeDecodeError as exc:
+            raise MalformedTx("text is not valid UTF-8") from exc
+
     @property
     def exhausted(self) -> bool:
         return self._pos == len(self._data)

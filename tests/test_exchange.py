@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from sensormarket import exchange
+from sensormarket import exchange, payload as payload_tags
 from sensormarket.datastore import Store
 from sensormarket.errors import NoSensorFunds
 from sensormarket.exchange import MARKER_VALUE, RequesterActor, SensorActor
@@ -128,12 +128,44 @@ def test_honest_replica_saves_the_fetch():
     assert tampered and tampered[0]["store"] == 0
 
 
+@pytest.mark.parametrize("tag", [payload_tags.DATUM_INLINE, payload_tags.DATUM_ANCHORED])
+def test_malformed_datum_payload_is_a_failed_delivery(tag):
+    sim, requester, sensor = setup_pair()
+    sim.nodes[1].on_block.remove(sensor._on_block)
+    payment = requester.initiate_purchase(sensor.wallet.key_digest, PRICE)
+    bogus = sensor.wallet.pay(
+        requester.wallet.key_digest, MARKER_VALUE, FEE, payload=bytes([tag]) + b"short"
+    )
+    sim.broadcast(bogus, sim.nodes[1])
+    run_blocks(sim, 4)
+    assert [f["error"] for f in requester.failures] == ["MalformedTx"]
+    assert [r.payment_txid for r in requester.outstanding] == [txid(payment)]
+    assert not requester.deliveries
+
+
 def test_broke_sensor_raises_no_sensor_funds():
     # Even with the incoming payment, the sensor cannot cover a 500 fee.
     sim, requester, sensor = setup_pair(sensor_funds=10, default_fee=500)
     requester.initiate_purchase(sensor.wallet.key_digest, PRICE)
     with pytest.raises(NoSensorFunds):
         run_blocks(sim, 8)
+
+
+def test_failed_fulfilment_stores_no_replica():
+    stores = [Store(0), Store(1), Store(2)]
+    datum = b"series=" + b",".join(b"%d" % i for i in range(60))
+    sim, requester, sensor = setup_pair(
+        sensor_funds=10, default_fee=500, datum=datum, stores=stores
+    )
+    sim.nodes[1].on_block.remove(sensor._on_block)
+    requester.initiate_purchase(sensor.wallet.key_digest, PRICE)
+    run_blocks(sim, 4)
+    [notice] = sensor.detect_payment()
+    for _ in range(3):
+        with pytest.raises(NoSensorFunds):
+            sensor.fulfill(notice)
+    assert [len(s.blobs) for s in stores] == [0, 0, 0]
+    assert not sensor.fulfillments
 
 
 def test_unrelated_payment_between_actors_is_ignored():

@@ -108,6 +108,14 @@ def test_tx_roundtrip(predicate):
     assert deserialize_tx(serialize_tx(tx)) == tx
 
 
+def test_non_utf8_expression_id_is_malformed():
+    gated = OracleGated(b"\x04" * 64, "EXPR_ID!", AnyoneCanSpend())
+    data = serialize_tx(Transaction(inputs=(), outputs=(TxOutput(5, gated),)))
+    assert data.count(b"EXPR_ID!") == 1
+    with pytest.raises(MalformedTx):
+        deserialize_tx(data.replace(b"EXPR_ID!", b"\xff" * 8))
+
+
 def test_txid_depends_on_every_field():
     base = Transaction(
         inputs=(TxInput(b"\x00" * 32, 0),),

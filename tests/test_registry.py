@@ -4,7 +4,8 @@ import pytest
 
 from sensormarket.datastore import Store
 from sensormarket.errors import MalformedTx, RecordTooLarge, UnknownName
-from sensormarket.ledger import txid
+from sensormarket import payload as payload_tags
+from sensormarket.ledger import PayToKeyHash, TxOutput, txid
 from sensormarket.registry import (
     MAX_NAME_LEN,
     Registry,
@@ -32,7 +33,7 @@ def registry_setup(n_actors=3):
     kps = [make_keypair(100 + i) for i in range(n_actors)]
     sim = make_sim([(kp, 10_000) for kp in kps], num_nodes=2)
     registry = Registry()
-    registry.attach(sim.nodes[0])
+    sim.nodes[0].follow(registry.apply_block)
     wallets = [Wallet(kp, sim.nodes[0]) for kp in kps]
     return sim, registry, kps, wallets
 
@@ -51,6 +52,30 @@ def test_name_length_cap():
     kp = make_keypair(100)
     with pytest.raises(MalformedTx):
         record_for(kp, "x" * (MAX_NAME_LEN + 1)).serialize()
+
+
+def _non_utf8_name(record):
+    """The record's bytes with its name replaced by bytes that are not UTF-8."""
+    data = record.serialize()
+    name = record.name.encode()
+    assert data[2:2 + len(name)] == name
+    return data[:2] + b"\xff" * len(name) + data[2 + len(name):]
+
+
+def test_non_utf8_name_is_malformed():
+    with pytest.raises(MalformedTx):
+        SensorRecord.deserialize(_non_utf8_name(record_for(make_keypair(100), "abc")))
+
+
+def test_registration_with_non_utf8_name_is_not_indexed():
+    sim, registry, kps, wallets = registry_setup()
+    data = bytes([payload_tags.REGISTRY_REGISTER]) + _non_utf8_name(record_for(kps[0], "abc"))
+    tx = wallets[0].create_tx([TxOutput(0, PayToKeyHash(kps[0].key_digest), data)], fee=50)
+    sim.broadcast(tx, sim.nodes[0])
+    register_sensor(sim, sim.nodes[0], wallets[1], record_for(kps[1], "valid"))
+    run_blocks(sim, 3)
+    assert txid(tx) in sim.chain.tx_index
+    assert list(registry.index) == ["valid"]
 
 
 def test_register_and_lookup():
@@ -157,7 +182,7 @@ def test_oversized_record_uses_datastore_anchor():
     sim, registry_plain, kps, wallets = registry_setup()
     stores = [Store(0), Store(1)]
     registry = Registry(stores={s.store_id: s for s in stores})
-    registry.attach(sim.nodes[0])
+    sim.nodes[0].follow(registry.apply_block)
     big = record_for(kps[0], "verbose", endpoint="x" * 120)
     with pytest.raises(RecordTooLarge):
         register_sensor(sim, sim.nodes[0], wallets[0], big)  # no stores given

@@ -118,6 +118,85 @@ def test_when_confirmed_fires_once_at_depth():
     assert hits[0] >= height + 1  # at least depth 2 when it fired
 
 
+def test_when_confirmed_waits_in_the_hook_list_and_fires_once():
+    kp, other = make_keypair(0), make_keypair(1)
+    sim = make_sim([(kp, 10_000)], mean_block_interval_s=30.0)
+    node = sim.nodes[0]
+    tx = Wallet(kp, node).pay(other.key_digest, 100, fee=10)
+    hooks = len(node.on_block)
+    waited, deep = [], []
+    node.when_confirmed(txid(tx), 1, lambda: waited.append(node.known_height))
+    assert len(node.on_block) == hooks + 1
+    assert not hasattr(node, "_watches")
+    sim.broadcast(tx, node)
+    run_blocks(sim, 4)
+    # Already deep enough at registration: fires at once.
+    node.when_confirmed(txid(tx), 2, lambda: deep.append(node.known_height))
+    assert deep == [node.known_height]
+    run_blocks(sim, 3)
+    assert waited == [1]
+    assert len(deep) == 1
+    assert len(node.on_block) == hooks
+
+
+@pytest.mark.parametrize("depth", [1, 3])
+def test_follow_passes_each_height_once_in_order(depth):
+    sim = make_sim([(make_keypair(0), 10_000)], num_nodes=2)
+    node = sim.nodes[1]  # receives blocks after a propagation delay
+    seen = []
+    node.follow(lambda b: seen.append(b.height), depth)
+    assert seen == ([0] if depth == 1 else [])
+    run_blocks(sim, 8)
+    sim.run_until(sim.clock + 2 * sim.config.propagation_delay_s)
+    assert node.known_height == sim.chain.height
+    assert seen == list(range(node.known_height - depth + 2))
+
+
+@pytest.mark.parametrize("depth", [1, 3])
+def test_late_follower_receives_deep_blocks_at_once(depth):
+    sim = make_sim([(make_keypair(0), 10_000)])
+    run_blocks(sim, 5)
+    n = sim.nodes[0].known_height
+    seen = []
+    sim.nodes[0].follow(lambda b: seen.append(b.height), depth)
+    assert seen == list(range(n - depth + 2))
+    run_blocks(sim, 1)
+    assert seen == list(range(sim.nodes[0].known_height - depth + 2))
+
+
+def test_block_hooks_run_in_registration_order():
+    kp, other = make_keypair(0), make_keypair(1)
+    sim = make_sim([(kp, 10_000)], mean_block_interval_s=30.0)
+    node = sim.nodes[0]
+    tx = Wallet(kp, node).pay(other.key_digest, 100, fee=10)
+    sim.broadcast(tx, node)
+    order = []
+    node.follow(lambda b: order.append("follow"))
+    node.when_confirmed(txid(tx), 1, lambda: order.append("confirmed"))
+    node.on_block.append(lambda b: order.append("hook"))
+    node.retry(lambda: order.append("retry") is None and node.known_height >= 2)
+    del order[:]
+    run_blocks(sim, 3)
+    # The tx confirms in block 1; the retry succeeds at block 2.
+    assert order == (
+        ["follow", "confirmed", "hook", "retry"]
+        + ["follow", "hook", "retry"]
+        + ["follow", "hook"] * (node.known_height - 2)
+    )
+
+
+def test_retry_unsubscribes_after_first_success():
+    sim = make_sim([(make_keypair(0), 10_000)])
+    node = sim.nodes[0]
+    calls = []
+    hooks = len(node.on_block)
+    node.retry(lambda: calls.append(node.known_height) or len(calls) == 3)
+    assert calls == [0]
+    run_blocks(sim, 5)
+    assert calls == [0, 1, 2]
+    assert len(node.on_block) == hooks
+
+
 def test_invalid_tx_logged_not_fatal():
     kp = make_keypair(0)
     sim = make_sim([(kp, 10_000)])
