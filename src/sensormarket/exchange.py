@@ -97,7 +97,13 @@ class SensorActor:
 
     def _on_block(self, block: Block) -> None:
         for notice in self.detect_payment():
-            self.fulfill(notice)
+            try:
+                self.fulfill(notice)
+            except NoSensorFunds as exc:
+                # Every notice needs the same funds: all stay pending until the next block.
+                self.sim.log_event("sensor_unfunded", sensor=self.actor_id,
+                                   payment_txid=notice.payment_txid.hex(), error=str(exc))
+                return
 
     def detect_payment(self) -> list[PaymentNotice]:
         """Confirmed, not-yet-handled incoming payments meeting the price.

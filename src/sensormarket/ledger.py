@@ -279,14 +279,33 @@ def sighash(tx: Transaction, input_index: int) -> bytes:
     return crypto.digest(data)
 
 
-def satisfy(predicate: Predicate, witness: Witness, message: bytes, height: int) -> None:
-    """Raise the first failing rule, or return on success."""
+def _verify(public_key: bytes, message: bytes, signature: bytes,
+            verified: Optional[set]) -> bool:
+    """``crypto.verify`` through ``verified``, a set of triples known to verify;
+    a triple that verifies is added to it, one that fails never is."""
+    if verified is None:
+        return crypto.verify(public_key, message, signature)
+    triple = (public_key, message, signature)
+    if triple in verified:
+        return True
+    if crypto.verify(public_key, message, signature):
+        verified.add(triple)
+        return True
+    return False
+
+
+def satisfy(predicate: Predicate, witness: Witness, message: bytes, height: int,
+            verified: Optional[set] = None) -> None:
+    """Raise the first failing rule, or return on success.
+
+    ``verified`` is an optional signature cache (see ``_verify``).
+    """
     if isinstance(predicate, AnyoneCanSpend):
         return
     if isinstance(predicate, PayToKeyHash):
         for pk, sig in witness.signatures:
             if crypto.key_digest(pk) == predicate.key_digest:
-                if crypto.verify(pk, message, sig):
+                if _verify(pk, message, sig, verified):
                     return
                 raise BadSignature("signature does not verify for key-hash output")
         raise BadSignature("no witness key matches the output's key digest")
@@ -295,7 +314,7 @@ def satisfy(predicate: Predicate, witness: Witness, message: bytes, height: int)
         valid = 0
         for pk in predicate.public_keys:
             sig = provided.get(pk)
-            if sig is not None and crypto.verify(pk, message, sig):
+            if sig is not None and _verify(pk, message, sig, verified):
                 valid += 1
         if valid < predicate.m:
             raise InsufficientSigners(
@@ -307,13 +326,13 @@ def satisfy(predicate: Predicate, witness: Witness, message: bytes, height: int)
             raise TimelockNotExpired(
                 f"height {height} < unlock height {predicate.unlock_height}"
             )
-        return satisfy(predicate.inner, witness, message, height)
+        return satisfy(predicate.inner, witness, message, height, verified)
     if isinstance(predicate, OracleGated):
         if witness.oracle_signature is None:
             raise OracleSignatureMissing("oracle signature required")
-        if not crypto.verify(predicate.oracle_key, message, witness.oracle_signature):
+        if not _verify(predicate.oracle_key, message, witness.oracle_signature, verified):
             raise BadSignature("oracle signature does not verify")
-        return satisfy(predicate.inner, witness, message, height)
+        return satisfy(predicate.inner, witness, message, height, verified)
     raise MalformedTx(f"unknown predicate {predicate!r}")
 
 
@@ -370,7 +389,13 @@ def tx_fee(tx: Transaction, utxo: UtxoSet) -> int:
 
 
 def validate_transaction(tx: Transaction, utxo: UtxoSet, height: int) -> None:
-    """Raise a ValidationError naming the first failing rule; silent if valid."""
+    """Raise a ValidationError naming the first failing rule; silent if valid.
+
+    Signature cache: the triples of a tx that passes are memoised on the tx
+    (``verified_signatures``), so validating it again, at another node's
+    mempool or in its block, looks them up instead of re-verifying.
+    ``Chain.apply_block`` drops the memo once the tx is confirmed.
+    """
     if not tx.outputs:
         raise MalformedTx("transaction has no outputs")
     if not tx.inputs:
@@ -388,6 +413,7 @@ def validate_transaction(tx: Transaction, utxo: UtxoSet, height: int) -> None:
         check_predicate(out.predicate)
     if tx.lock_height is not None and height < tx.lock_height:
         raise TimelockNotExpired(f"lock height {tx.lock_height} > height {height}")
+    verified = verified_signatures(tx) or set()
     total_in = 0
     for i, inp in enumerate(tx.inputs):
         entry = utxo.get(inp.outpoint)
@@ -396,9 +422,17 @@ def validate_transaction(tx: Transaction, utxo: UtxoSet, height: int) -> None:
                 f"input {inp.prev_txid.hex()[:16]}:{inp.prev_index} not unspent"
             )
         total_in += entry.output.value
-        satisfy(entry.output.predicate, inp.witness, sighash(tx, i), height)
+        satisfy(entry.output.predicate, inp.witness, sighash(tx, i), height, verified)
     if total_in < sum(out.value for out in tx.outputs):
         raise NegativeFee("outputs exceed inputs")
+    if verified:
+        object.__setattr__(tx, "_verified", verified)  # memo on the frozen instance
+
+
+def verified_signatures(tx: Transaction) -> Optional[set]:
+    """The tx's signature-cache memo: (public key, message, signature) triples
+    that verified when it last passed validation; None once confirmed."""
+    return getattr(tx, "_verified", None)
 
 
 # --- blocks and chain -------------------------------------------------------
@@ -523,6 +557,8 @@ class Chain:
             )
         self.blocks.append(block)
         self._undo.append(undo)
+        for tx in block.transactions:
+            vars(tx).pop("_verified", None)  # confirmed: its signatures are not checked again
 
     def _rollback(self, undo: _Undo, block: Block) -> None:
         for outpoint in undo.created:

@@ -3,12 +3,28 @@
 First-seen wins: a transaction conflicting with a pool member is rejected.
 Unconfirmed chains are allowed — a transaction may spend outputs of another
 pool member, and block selection always places the parent first.
+
+Two indices keep upkeep proportional to what changed, not to the pool:
+
+* ``spent_by`` maps each outpoint a member spends to that member.  First-seen
+  admission makes it exact: every input of every member is in it, mapped to
+  that member, and no two members spend one outpoint.  So the spenders of a
+  tx's outputs are ``spent_by[(txid, i)]``, and a block template can release
+  a child when its last unconfirmed parent is picked.
+* ``created`` maps each output of a member to its UTXO entry.
+
+A member is stale when one of its inputs is neither in ``chain.utxo`` nor in
+``created``.  Only two events can make a member stale: a block spending an
+outpoint it spends, and the removal of a member whose output it spends.  The
+chain only grows, and ``_checked_height`` is the last height whose spends
+have been checked, so ``drop_confirmed`` tests just the holders of outpoints
+spent above it and the spenders of what it removes.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import Optional
 
 from .errors import Conflict, MissingUtxo
 from .ledger import (
@@ -60,6 +76,7 @@ class Mempool:
         self.spent_by: dict[tuple[bytes, int], bytes] = {}  # outpoint -> txid
         self.created: dict[tuple[bytes, int], UtxoEntry] = {}
         self._seq = 0
+        self._checked_height = 0  # chain blocks up to here have been checked
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -93,64 +110,83 @@ class Mempool:
             self.created[(tid, i)] = UtxoEntry(out, height)
         return entry
 
-    def remove(self, tid: bytes) -> None:
+    def remove(self, tid: bytes) -> list[bytes]:
+        """Remove an entry; return the members that spent its outputs."""
         entry = self.entries.pop(tid, None)
         if entry is None:
-            return
+            return []
         for inp in entry.tx.inputs:
             if self.spent_by.get(inp.outpoint) == tid:
                 del self.spent_by[inp.outpoint]
+        spenders = []
         for i in range(len(entry.tx.outputs)):
             self.created.pop((tid, i), None)
+            spender = self.spent_by.get((tid, i))
+            if spender is not None:
+                spenders.append(spender)
+        return spenders
 
     def drop_confirmed(self, block_txs: tuple[Transaction, ...], chain: Chain) -> None:
         """Remove included transactions, then evict entries whose inputs are
-        no longer satisfiable (conflicts and orphaned descendants)."""
+        no longer satisfiable (conflicts and orphaned descendants).
+
+        ``block_txs`` may lag the chain (a node hears of a block after it is
+        applied), so the spends of every block above ``_checked_height`` are
+        checked, not just those of ``block_txs``.
+        """
+        suspects: list[bytes] = []
         for tx in block_txs:
-            self.remove(txid(tx))
-        while True:
-            stale = [
-                e.txid
-                for e in self.entries.values()
-                if any(
-                    inp.outpoint not in chain.utxo and inp.outpoint not in self.created
-                    for inp in e.tx.inputs
-                )
-            ]
-            if not stale:
-                break
-            for tid in stale:
-                self.remove(tid)
+            suspects += self.remove(txid(tx))
+        for block in chain.blocks[self._checked_height + 1:]:
+            for tx in block.transactions:
+                for inp in tx.inputs:
+                    holder = self.spent_by.get(inp.outpoint)
+                    if holder is not None:
+                        suspects.append(holder)
+        self._checked_height = chain.height
+        utxo, created = chain.utxo, self.created
+        while suspects:
+            entry = self.entries.get(suspects.pop())
+            if entry is not None and any(
+                inp.outpoint not in utxo and inp.outpoint not in created
+                for inp in entry.tx.inputs
+            ):
+                suspects += self.remove(entry.txid)
 
     def select_for_block(self, max_block_size: int, chain: Chain) -> list[Transaction]:
         """Greedy by descending fee rate, ties by ascending txid.
 
         A transaction is eligible once all of its inputs are confirmed or
         provided by an already-selected pool member, so parents always come
-        before their children.
+        before their children.  The heap holds the eligible entries; a child
+        waits on its count of inputs not in ``chain.utxo`` and is pushed when
+        the last of their pool parents is picked.  An entry popped too big
+        for the space left is dropped for good, as the space only shrinks.
         """
-        selected: list[MempoolEntry] = []
-        selected_ids: set[bytes] = set()
-        provided: set[tuple[bytes, int]] = set()
+        utxo = chain.utxo
+        heap: list[tuple[float, bytes]] = []
+        missing: dict[bytes, int] = {}
+        for entry in self.entries.values():
+            count = sum(1 for inp in entry.tx.inputs if inp.outpoint not in utxo)
+            if count:
+                missing[entry.txid] = count
+            else:
+                heap.append((-entry.fee_rate, entry.txid))
+        heapq.heapify(heap)
+        selected: list[Transaction] = []
         remaining = max_block_size
-        candidates = sorted(self.entries.values(), key=lambda e: (-e.fee_rate, e.txid))
-        while True:
-            pick: Optional[MempoolEntry] = None
-            for entry in candidates:
-                if entry.txid in selected_ids or entry.size > remaining:
-                    continue
-                ok = all(
-                    inp.outpoint in chain.utxo or inp.outpoint in provided
-                    for inp in entry.tx.inputs
-                )
-                if ok:
-                    pick = entry
-                    break
-            if pick is None:
-                break
-            selected.append(pick)
-            selected_ids.add(pick.txid)
+        while heap:
+            pick = self.entries[heapq.heappop(heap)[1]]
+            if pick.size > remaining:
+                continue
+            selected.append(pick.tx)
             remaining -= pick.size
             for i in range(len(pick.tx.outputs)):
-                provided.add((pick.txid, i))
-        return [e.tx for e in selected]
+                child = self.spent_by.get((pick.txid, i))
+                if child in missing:
+                    missing[child] -= 1
+                    if not missing[child]:
+                        del missing[child]
+                        child_entry = self.entries[child]
+                        heapq.heappush(heap, (-child_entry.fee_rate, child))
+        return selected

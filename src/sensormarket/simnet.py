@@ -67,12 +67,15 @@ class Node:
         self.on_block: list[Callable[[Block], None]] = []
 
     def receive_tx(self, tx: Transaction) -> bool:
+        tid = None
         try:
+            tid = txid(tx)
             self.mempool.insert(tx, self.sim.chain)
             return True
         except ValidationError as exc:
+            # A tx that does not serialize has no txid.
             self.sim.log_event("tx_rejected", node=self.index,
-                              txid=txid(tx).hex(), reason=type(exc).__name__)
+                              txid=tid and tid.hex(), reason=type(exc).__name__)
             return False
 
     def deliver_block(self, block: Block) -> None:

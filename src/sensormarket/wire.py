@@ -12,29 +12,26 @@ import struct
 from .errors import MalformedTx
 
 
-def u8(n: int) -> bytes:
-    return struct.pack("<B", n)
+def _packer(fmt: str):
+    pack = struct.Struct(fmt).pack
+
+    def packer(n):
+        try:
+            return pack(n)
+        except struct.error as exc:  # out of range or not a number
+            raise MalformedTx(f"{n!r} does not fit {fmt}") from exc
+
+    return packer
 
 
-def u16(n: int) -> bytes:
-    return struct.pack("<H", n)
-
-
-def u32(n: int) -> bytes:
-    return struct.pack("<I", n)
-
-
-def u64(n: int) -> bytes:
-    return struct.pack("<Q", n)
-
-
-def f64(x: float) -> bytes:
-    return struct.pack("<d", x)
+u8 = _packer("<B")
+u16 = _packer("<H")
+u32 = _packer("<I")
+u64 = _packer("<Q")
+f64 = _packer("<d")
 
 
 def varbytes(b: bytes) -> bytes:
-    if len(b) > 0xFFFF:
-        raise MalformedTx("byte string too long for u16 length prefix")
     return u16(len(b)) + b
 
 

@@ -3,6 +3,7 @@
 import hashlib
 
 import pytest
+from hypothesis import settings
 
 from sensormarket import crypto
 from sensormarket.ledger import (
@@ -15,6 +16,11 @@ from sensormarket.ledger import (
 )
 from sensormarket.simnet import SimConfig, Simulation
 from sensormarket.wallet import Wallet
+
+# Crypto-heavy examples can take longer than Hypothesis's default 200 ms
+# deadline on a slow runner, and a failing example must repeat on every run.
+settings.register_profile("sensormarket", deadline=None, derandomize=True)
+settings.load_profile("sensormarket")
 
 
 def seed_bytes(i: int) -> bytes:

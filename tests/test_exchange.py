@@ -143,12 +143,16 @@ def test_malformed_datum_payload_is_a_failed_delivery(tag):
     assert not requester.deliveries
 
 
-def test_broke_sensor_raises_no_sensor_funds():
+def test_broke_sensor_logs_and_keeps_running():
     # Even with the incoming payment, the sensor cannot cover a 500 fee.
     sim, requester, sensor = setup_pair(sensor_funds=10, default_fee=500)
-    requester.initiate_purchase(sensor.wallet.key_digest, PRICE)
-    with pytest.raises(NoSensorFunds):
-        run_blocks(sim, 8)
+    payment = requester.initiate_purchase(sensor.wallet.key_digest, PRICE)
+    run_blocks(sim, 8)
+    unfunded = [e for e in sim.events_log if e["kind"] == "sensor_unfunded"]
+    assert unfunded and {e["payment_txid"] for e in unfunded} == {txid(payment).hex()}
+    assert unfunded[0]["sensor"] == sensor.actor_id
+    assert not sensor.fulfillments
+    assert [n.payment_txid for n in sensor.detect_payment()] == [txid(payment)]
 
 
 def test_failed_fulfilment_stores_no_replica():
@@ -184,8 +188,7 @@ def test_unrelated_payment_between_actors_is_ignored():
 def test_failed_fulfilment_is_retried_once_funded():
     sim, requester, sensor = setup_pair(sensor_funds=10, default_fee=500)
     payment = requester.initiate_purchase(sensor.wallet.key_digest, PRICE)
-    with pytest.raises(NoSensorFunds):
-        run_blocks(sim, 8)
+    run_blocks(sim, 8)
     assert not sensor.fulfillments
     # The top-up funds the sensor, and is itself a payment it answers.
     top_up = requester.wallet.pay(sensor.wallet.key_digest, 2_000, fee=500)
