@@ -280,11 +280,9 @@ def sighash(tx: Transaction, input_index: int) -> bytes:
 
 
 def _verify(public_key: bytes, message: bytes, signature: bytes,
-            verified: Optional[set]) -> bool:
+            verified: set) -> bool:
     """``crypto.verify`` through ``verified``, a set of triples known to verify;
     a triple that verifies is added to it, one that fails never is."""
-    if verified is None:
-        return crypto.verify(public_key, message, signature)
     triple = (public_key, message, signature)
     if triple in verified:
         return True
@@ -295,10 +293,10 @@ def _verify(public_key: bytes, message: bytes, signature: bytes,
 
 
 def satisfy(predicate: Predicate, witness: Witness, message: bytes, height: int,
-            verified: Optional[set] = None) -> None:
+            verified: set) -> None:
     """Raise the first failing rule, or return on success.
 
-    ``verified`` is an optional signature cache (see ``_verify``).
+    ``verified`` is the signature cache the checks go through (see ``_verify``).
     """
     if isinstance(predicate, AnyoneCanSpend):
         return
