@@ -124,8 +124,8 @@ class Channel:
         msg = sighash(tx, 0)
         witness = Witness(
             signatures=(
-                (self.funder_keypair.public_key, crypto.sign(self.funder_keypair.seed, msg)),
-                (self.sensor_keypair.public_key, crypto.sign(self.sensor_keypair.seed, msg)),
+                (self.funder_keypair.public_key, crypto.sign(self.funder_keypair, msg)),
+                (self.sensor_keypair.public_key, crypto.sign(self.sensor_keypair, msg)),
             )
         )
         return Transaction(
@@ -168,7 +168,7 @@ class Channel:
                 datum,
                 ephemeral_seed=self.sim.rng("channel-datum").randbytes(32),
             )
-            self.datums_delivered.append(crypto.decrypt(self.funder_keypair.seed, envelope))
+            self.datums_delivered.append(crypto.decrypt(self.funder_keypair, envelope))
         return self.state
 
     def close(self) -> Transaction:

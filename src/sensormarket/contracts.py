@@ -100,8 +100,8 @@ def escrow_release(
     msg = sighash(tx, 0)
     witness = Witness(
         signatures=(
-            (signer_a.public_key, crypto.sign(signer_a.seed, msg)),
-            (signer_b.public_key, crypto.sign(signer_b.seed, msg)),
+            (signer_a.public_key, crypto.sign(signer_a, msg)),
+            (signer_b.public_key, crypto.sign(signer_b, msg)),
         )
     )
     tx = Transaction(
@@ -150,7 +150,7 @@ def make_pledge(
     )
     msg = sighash(template, 0)
     witness = Witness(
-        signatures=((keypair.public_key, crypto.sign(keypair.seed, msg)),)
+        signatures=((keypair.public_key, crypto.sign(keypair, msg)),)
     )
     return Pledge(
         contributor_key=keypair.public_key,
@@ -231,7 +231,7 @@ class OracleService:
         is currently false or its fact is unknown."""
         if not self.evaluate(expression_id):
             return None
-        return crypto.sign(self.keypair.seed, sighash(settlement_tx, input_index))
+        return crypto.sign(self.keypair, sighash(settlement_tx, input_index))
 
 
 def oracle_gated_output(
@@ -321,8 +321,8 @@ class OracleBet:
                 return None
             witness = Witness(
                 signatures=(
-                    (self.key_a.public_key, crypto.sign(self.key_a.seed, msg)),
-                    (self.key_b.public_key, crypto.sign(self.key_b.seed, msg)),
+                    (self.key_a.public_key, crypto.sign(self.key_a, msg)),
+                    (self.key_b.public_key, crypto.sign(self.key_b, msg)),
                 ),
                 oracle_signature=oracle_sig,
             )

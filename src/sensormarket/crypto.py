@@ -62,6 +62,19 @@ class KeyPair:
     def key_digest(self) -> bytes:
         return key_digest(self.public_key)
 
+    # The private keys are parsed at first use and kept: loading one derives
+    # its public key, a scalar multiplication that costs as much as a
+    # signature.  Like ``key_digest`` they live in the instance dict, outside
+    # the dataclass fields, so equality and hashing still see only the seed
+    # and the public key.
+    @cached_property
+    def signing_key(self) -> Ed25519PrivateKey:
+        return _signing_key(self.seed)
+
+    @cached_property
+    def encryption_key(self) -> X25519PrivateKey:
+        return _encryption_key(self.seed)
+
     @property
     def address(self) -> "Address":
         return derive_address(self.public_key)
@@ -140,8 +153,8 @@ def decode_address(text: str) -> Address:
     return Address(version_prefix=prefix, key_digest=kd, checksum=checksum)
 
 
-def sign(seed: bytes, message: bytes) -> bytes:
-    return _signing_key(seed).sign(message)
+def sign(keypair: KeyPair, message: bytes) -> bytes:
+    return keypair.signing_key.sign(message)
 
 
 def verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
@@ -183,14 +196,13 @@ def encrypt_for(public_key: bytes, plaintext: bytes, ephemeral_seed: bytes | Non
     )
 
 
-def decrypt(seed: bytes, envelope: CipherEnvelope) -> bytes:
-    x_priv = _encryption_key(seed)
-    x_pub = x_priv.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
+def decrypt(keypair: KeyPair, envelope: CipherEnvelope) -> bytes:
     try:
-        shared = x_priv.exchange(X25519PublicKey.from_public_bytes(envelope.ephemeral_key))
+        ephemeral = X25519PublicKey.from_public_bytes(envelope.ephemeral_key)
+        shared = keypair.encryption_key.exchange(ephemeral)
     except ValueError:
         raise DecryptFailed("malformed ephemeral key") from None
-    key, _ = _session_key(shared, envelope.ephemeral_key, x_pub)
+    key, _ = _session_key(shared, envelope.ephemeral_key, keypair.public_key[32:])
     try:
         return ChaCha20Poly1305(key).decrypt(
             envelope.nonce, envelope.ciphertext + envelope.tag, None

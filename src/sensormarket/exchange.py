@@ -281,7 +281,7 @@ class RequesterActor:
                 if not datastore.verify_anchor(sealed, anchor):
                     raise AnchorMismatch("fetched content does not match anchor")
                 envelope = crypto.CipherEnvelope.deserialize(sealed)
-            plaintext = crypto.decrypt(self.keypair.seed, envelope)
+            plaintext = crypto.decrypt(self.keypair, envelope)
         except (DecryptFailed, AnchorMismatch, MalformedTx) as exc:
             # Request stays outstanding; the failure is surfaced in the report.
             self.failures.append(

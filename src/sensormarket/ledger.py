@@ -33,6 +33,7 @@ from .errors import (
 MAX_PAYLOAD = 80
 MAX_MULTISIG_KEYS = 15
 MAX_PREDICATE_DEPTH = 4
+TXID_LEN = 32
 GENESIS_PREV_HASH = b"\x00" * 32
 
 
@@ -116,7 +117,11 @@ def serialize_predicate(p: Predicate) -> bytes:
     raise MalformedTx(f"unknown predicate {p!r}")
 
 
-def read_predicate(r: wire.Reader) -> Predicate:
+def read_predicate(r: wire.Reader, depth: int = 1) -> Predicate:
+    # Bounded here, not only by `check_predicate`, so that a long run of
+    # wrapper tags is a MalformedTx and not a RecursionError.
+    if depth > MAX_PREDICATE_DEPTH:
+        raise MalformedTx("predicate nesting too deep")
     tag = r.u8()
     if tag == 0x01:
         return PayToKeyHash(r.read(crypto.KEY_DIGEST_LEN))
@@ -126,11 +131,11 @@ def read_predicate(r: wire.Reader) -> Predicate:
         return MultiSig(m, keys)
     if tag == 0x03:
         height = r.u64()
-        return TimeLocked(height, read_predicate(r))
+        return TimeLocked(height, read_predicate(r, depth + 1))
     if tag == 0x04:
         oracle_key = r.varbytes()
         expression_id = r.text()
-        return OracleGated(oracle_key, expression_id, read_predicate(r))
+        return OracleGated(oracle_key, expression_id, read_predicate(r, depth + 1))
     if tag == 0x05:
         return AnyoneCanSpend()
     raise MalformedTx(f"unknown predicate tag {tag:#x}")
@@ -185,7 +190,7 @@ def _serialize_output(out: TxOutput) -> bytes:
 def _read_output(r: wire.Reader) -> TxOutput:
     value = r.u64()
     predicate = read_predicate(r)
-    payload = r.varbytes() if r.u8() else None
+    payload = r.varbytes() if r.flag() else None
     return TxOutput(value, predicate, payload)
 
 
@@ -202,12 +207,16 @@ def _serialize_witness(w: Witness) -> bytes:
 
 def _read_witness(r: wire.Reader) -> Witness:
     sigs = tuple((r.varbytes(), r.varbytes()) for _ in range(r.u8()))
-    oracle_sig = r.varbytes() if r.u8() else None
+    oracle_sig = r.varbytes() if r.flag() else None
     return Witness(sigs, oracle_sig)
 
 
 def _serialize_input(inp: TxInput, with_witness: bool) -> bytes:
-    data = inp.prev_txid + wire.u32(inp.prev_index) + wire.u8(int(inp.anyone_can_pay))
+    # A fixed width keeps the encoding unambiguous: with any other length the
+    # txid bytes could run into the index and flag that follow them.
+    if len(inp.prev_txid) != TXID_LEN:
+        raise MalformedTx(f"prev_txid must be {TXID_LEN} bytes, got {len(inp.prev_txid)}")
+    data = inp.prev_txid + wire.u32(inp.prev_index) + wire.flag(inp.anyone_can_pay)
     if with_witness:
         data += _serialize_witness(inp.witness)
     return data
@@ -238,13 +247,13 @@ def read_tx(r: wire.Reader) -> Transaction:
     n_in = r.u16()
     inputs = []
     for _ in range(n_in):
-        prev_txid = r.read(32)
+        prev_txid = r.read(TXID_LEN)
         prev_index = r.u32()
-        flag = bool(r.u8())
+        flag = r.flag()
         witness = _read_witness(r)
         inputs.append(TxInput(prev_txid, prev_index, witness, flag))
     outputs = tuple(_read_output(r) for _ in range(r.u16()))
-    lock_height = r.u64() if r.u8() else None
+    lock_height = r.u64() if r.flag() else None
     return Transaction(tuple(inputs), outputs, lock_height)
 
 

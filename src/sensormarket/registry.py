@@ -64,7 +64,11 @@ class SensorRecord:
         if len(name.encode()) > MAX_NAME_LEN:
             raise MalformedTx("name too long")
         owner = r.read(crypto.KEY_DIGEST_LEN)
-        payment = r.read(crypto.KEY_DIGEST_LEN) if r.u8() else owner
+        payment = owner
+        if r.flag():
+            payment = r.read(crypto.KEY_DIGEST_LEN)
+            if payment == owner:  # `serialize` elides it, so this would not round-trip
+                raise MalformedTx("payment digest equal to the owner's is not elided")
         data_type = r.text()
         price = r.u64()
         endpoint = r.text()

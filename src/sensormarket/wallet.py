@@ -34,7 +34,7 @@ def sign_inputs(tx: Transaction, keypair: crypto.KeyPair,
         indices = list(range(len(tx.inputs)))
     inputs = list(tx.inputs)
     for i in indices:
-        sig = crypto.sign(keypair.seed, sighash(tx, i))
+        sig = crypto.sign(keypair, sighash(tx, i))
         old = inputs[i]
         witness = Witness(
             signatures=old.witness.signatures + ((keypair.public_key, sig),),

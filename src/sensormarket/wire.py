@@ -31,6 +31,13 @@ u64 = _packer("<Q")
 f64 = _packer("<d")
 
 
+def flag(value: bool) -> bytes:
+    """One byte, 0 or 1: the only encodings `Reader.flag` accepts."""
+    if not isinstance(value, bool):
+        raise MalformedTx(f"{value!r} is not a flag")
+    return b"\x01" if value else b"\x00"
+
+
 def varbytes(b: bytes) -> bytes:
     return u16(len(b)) + b
 
@@ -54,6 +61,13 @@ class Reader:
 
     def u16(self) -> int:
         return struct.unpack("<H", self.read(2))[0]
+
+    def flag(self) -> bool:
+        """A presence or boolean flag: exactly 0 or 1, so it re-encodes as read."""
+        byte = self.u8()
+        if byte > 1:
+            raise MalformedTx(f"flag byte {byte:#04x} is neither 0 nor 1")
+        return byte == 1
 
     def u32(self) -> int:
         return struct.unpack("<I", self.read(4))[0]

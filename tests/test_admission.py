@@ -61,6 +61,8 @@ def test_varbytes_longer_than_u16_is_malformed():
     lambda op: spend(op, TxOutput(900, PayToKeyHash(A.key_digest)), lock_height=1 << 64),
     lambda op: spend(op, TxOutput(900, PayToKeyHash(A.key_digest), bytes(70_000))),
     lambda op: spend(op, TxOutput(900, TimeLocked(-5, AnyoneCanSpend()))),
+    lambda op: spend((op[0] + b"\x01", op[1]), TxOutput(900, PayToKeyHash(A.key_digest))),
+    lambda op: Transaction((TxInput(*op, anyone_can_pay="yes"),), (TxOutput(900, AnyoneCanSpend()),)),
 ])
 def test_unserializable_tx_is_rejected_without_a_txid(tx_of):
     sim, outpoint = funded_sim()
@@ -101,6 +103,7 @@ PREDICATE = st.recursive(
     ),
     max_leaves=3,
 )
+FLAG = st.one_of(st.booleans(), st.sampled_from([2, "yes", None]))
 PAYLOAD = st.one_of(st.none(), st.binary(max_size=90), st.just(bytes(70_000)))
 WITNESS = st.builds(
     Witness,
@@ -123,7 +126,7 @@ def test_arbitrary_transactions_never_make_receive_tx_raise(data):
     sim, outpoint = funded_sim()
     prev = st.one_of(st.just(outpoint), st.tuples(st.binary(max_size=33), WIDE_INT))
     inputs = data.draw(st.lists(
-        st.builds(lambda op, w, acp: TxInput(op[0], op[1], w, acp), prev, WITNESS, st.booleans()),
+        st.builds(lambda op, w, acp: TxInput(op[0], op[1], w, acp), prev, WITNESS, FLAG),
         max_size=3,
     ))
     outputs = data.draw(st.lists(st.builds(TxOutput, WIDE_INT, PREDICATE, PAYLOAD), max_size=3))

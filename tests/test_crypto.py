@@ -3,6 +3,7 @@
 import hashlib
 
 import pytest
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 
 from sensormarket import crypto
 from sensormarket.errors import DecryptFailed, MalformedTx
@@ -83,17 +84,17 @@ def test_address_bad_inputs():
 def test_sign_verify_roundtrip():
     kp = make_keypair(6)
     msg = b"pay 100 to the weather station"
-    sig = crypto.sign(kp.seed, msg)
+    sig = crypto.sign(kp, msg)
     assert len(sig) == 64
     assert crypto.verify(kp.public_key, msg, sig)
     # Deterministic signatures (Ed25519).
-    assert crypto.sign(kp.seed, msg) == sig
+    assert crypto.sign(kp, msg) == sig
 
 
 def test_verify_rejects_any_corruption():
     kp = make_keypair(7)
     msg = b"datum payload"
-    sig = crypto.sign(kp.seed, msg)
+    sig = crypto.sign(kp, msg)
     for pos in range(len(sig)):
         bad = bytearray(sig)
         bad[pos] ^= 0x01
@@ -107,7 +108,7 @@ def test_encrypt_decrypt_roundtrip():
     kp = make_keypair(9)
     plaintext = b"pm25=12.5"
     envelope = crypto.encrypt_for(kp.public_key, plaintext)
-    assert crypto.decrypt(kp.seed, envelope) == plaintext
+    assert crypto.decrypt(kp, envelope) == plaintext
 
 
 def test_encrypt_deterministic_with_explicit_seed():
@@ -123,7 +124,7 @@ def test_decrypt_with_wrong_key_fails():
     kp, other = make_keypair(11), make_keypair(12)
     envelope = crypto.encrypt_for(kp.public_key, b"secret")
     with pytest.raises(DecryptFailed):
-        crypto.decrypt(other.seed, envelope)
+        crypto.decrypt(other, envelope)
 
 
 def test_every_single_byte_tamper_is_detected():
@@ -140,7 +141,7 @@ def test_every_single_byte_tamper_is_detected():
         bad[pos] ^= 0x01
         tampered = crypto.CipherEnvelope.deserialize(bytes(bad))
         with pytest.raises(DecryptFailed):
-            crypto.decrypt(kp.seed, tampered)
+            crypto.decrypt(kp, tampered)
 
 
 def test_envelope_serialization_roundtrip():
@@ -172,3 +173,53 @@ def test_key_digest_avalanche():
 def test_keypair_from_label_stable():
     assert crypto.keypair_from_label("demo/alice") == crypto.keypair_from_label("demo/alice")
     assert crypto.keypair_from_label("demo/alice") != crypto.keypair_from_label("demo/bob")
+
+
+def test_sign_matches_a_freshly_loaded_key():
+    kp = make_keypair(17)
+    for msg in (b"", b"settlement #1", bytes(range(256))):
+        expected = Ed25519PrivateKey.from_private_bytes(kp.seed).sign(msg)
+        assert crypto.sign(kp, msg) == expected
+
+
+def test_decrypt_is_the_same_from_a_fresh_and_a_used_keypair():
+    used = make_keypair(18)
+    envelopes = [
+        crypto.encrypt_for(used.public_key, b"datum %d" % i, ephemeral_seed=seed_bytes(200 + i))
+        for i in range(3)
+    ]
+    crypto.sign(used, b"warm the signing key")
+    first = [crypto.decrypt(used, e) for e in envelopes]
+    assert first == [b"datum 0", b"datum 1", b"datum 2"]
+    assert [crypto.decrypt(make_keypair(18), e) for e in envelopes] == first
+    assert [crypto.decrypt(used, e) for e in envelopes] == first
+
+
+def test_each_private_key_is_parsed_at_most_once_per_keypair(monkeypatch):
+    kp = make_keypair(19)
+    envelope = crypto.encrypt_for(kp.public_key, b"pm25=9", ephemeral_seed=seed_bytes(210))
+    built = {"signing": 0, "encryption": 0}
+
+    def counting(kind, build):
+        def wrapper(seed):
+            built[kind] += 1
+            return build(seed)
+        return wrapper
+
+    monkeypatch.setattr(crypto, "_signing_key", counting("signing", crypto._signing_key))
+    monkeypatch.setattr(crypto, "_encryption_key", counting("encryption", crypto._encryption_key))
+    for i in range(100):
+        assert crypto.verify(kp.public_key, b"%d" % i, crypto.sign(kp, b"%d" % i))
+        assert crypto.decrypt(kp, envelope) == b"pm25=9"
+    assert built["signing"] <= 1
+    assert built["encryption"] <= 1
+
+
+def test_parsed_keys_leave_equality_and_hash_alone():
+    used, fresh = make_keypair(20), make_keypair(20)
+    crypto.sign(used, b"m")
+    crypto.decrypt(used, crypto.encrypt_for(used.public_key, b"x", ephemeral_seed=seed_bytes(220)))
+    assert used == fresh
+    assert hash(used) == hash(fresh)
+    assert len({used, fresh}) == 1
+    assert used != make_keypair(21)

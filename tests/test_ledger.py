@@ -301,14 +301,14 @@ def test_oracle_gated_requires_oracle_signature():
     good = Transaction(
         inputs=(TxInput(txid(fund), 0,
                         Witness(claim.inputs[0].witness.signatures,
-                                crypto.sign(oracle.seed, msg))),),
+                                crypto.sign(oracle, msg))),),
         outputs=claim.outputs,
     )
     validate_transaction(good, chain.utxo, 2)
     bad = Transaction(
         inputs=(TxInput(txid(fund), 0,
                         Witness(claim.inputs[0].witness.signatures,
-                                crypto.sign(B.seed, msg))),),
+                                crypto.sign(B, msg))),),
         outputs=claim.outputs,
     )
     with pytest.raises(BadSignature):
