@@ -125,13 +125,13 @@ def _encryption_key(seed: bytes) -> X25519PrivateKey:
 def generate_keypair(seed: bytes) -> KeyPair:
     if len(seed) != SEED_LEN:
         raise ValueError(f"seed must be exactly {SEED_LEN} bytes, got {len(seed)}")
-    ed_pub = _signing_key(seed).public_key().public_bytes(
-        Encoding.Raw, PublicFormat.Raw
-    )
-    x_pub = _encryption_key(seed).public_key().public_bytes(
-        Encoding.Raw, PublicFormat.Raw
-    )
-    return KeyPair(seed=seed, public_key=ed_pub + x_pub)
+    signing, encryption = _signing_key(seed), _encryption_key(seed)
+    ed_pub = signing.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
+    x_pub = encryption.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
+    keypair = KeyPair(seed=seed, public_key=ed_pub + x_pub)
+    # The keys just parsed become the pair's memos (where cached_property keeps them).
+    vars(keypair).update(signing_key=signing, encryption_key=encryption)
+    return keypair
 
 
 def derive_address(public_key: bytes) -> Address:

@@ -8,8 +8,10 @@ otherwise anchored in the datastore).  The requester decrypts on receipt.
 Exactly two on-chain transactions per honest exchange.
 
 Each actor follows its node (``Node.follow``) at its confirmation depth: it
-is handed every block once, when that block is deep enough, so it examines a
-confirmed transaction once, not once per block.
+is handed every block once, when that block is deep enough, and reads only
+the block's transactions that pay or spend its own key digest
+(``Chain.txs_touching``); a payment or a delivery always pays it.  So it
+examines a confirmed transaction that concerns it once, and no other.
 """
 
 from __future__ import annotations
@@ -116,7 +118,7 @@ class SensorActor:
         return list(self._pending)
 
     def _scan_payments(self, block: Block) -> None:
-        for tx in block.transactions:
+        for tx in self.sim.chain.txs_touching(block, self.wallet.key_digest):
             tid = txid(tx)
             if tid in self.handled:
                 continue
@@ -234,7 +236,7 @@ class RequesterActor:
         A delivery that is malformed or fails to decrypt is recorded in
         ``failures`` once; its request stays outstanding.
         """
-        for tx in block.transactions:
+        for tx in self.sim.chain.txs_touching(block, self.wallet.key_digest):
             delivery = self._try_take_delivery(tx, txid(tx), block.height)
             if delivery is not None:
                 self.deliveries.append(delivery)

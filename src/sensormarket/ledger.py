@@ -75,18 +75,14 @@ class AnyoneCanSpend:
 Predicate = Union[PayToKeyHash, MultiSig, TimeLocked, OracleGated, AnyoneCanSpend]
 
 
-def predicate_depth(p: Predicate) -> int:
-    if isinstance(p, (TimeLocked, OracleGated)):
-        return 1 + predicate_depth(p.inner)
-    return 1
-
-
 def check_predicate(p: Predicate) -> None:
-    if predicate_depth(p) > MAX_PREDICATE_DEPTH:
-        raise MalformedTx("predicate nesting too deep")
+    depth = 1
     while isinstance(p, (TimeLocked, OracleGated)):
         if isinstance(p, TimeLocked) and p.unlock_height < 0:
             raise MalformedTx("negative unlock height")
+        depth += 1
+        if depth > MAX_PREDICATE_DEPTH:
+            raise MalformedTx("predicate nesting too deep")
         p = p.inner
     if isinstance(p, PayToKeyHash) and len(p.key_digest) != crypto.KEY_DIGEST_LEN:
         raise MalformedTx("bad key digest length")
@@ -95,7 +91,11 @@ def check_predicate(p: Predicate) -> None:
             raise MalformedTx(f"bad multisig bounds m={p.m} n={p.n}")
 
 
-def serialize_predicate(p: Predicate) -> bytes:
+def serialize_predicate(p: Predicate, depth: int = 1) -> bytes:
+    # Bounded like `read_predicate`: what encodes also decodes, and a long
+    # chain of wrappers is a MalformedTx before it can be a RecursionError.
+    if depth > MAX_PREDICATE_DEPTH:
+        raise MalformedTx("predicate nesting too deep")
     if isinstance(p, PayToKeyHash):
         return wire.u8(0x01) + p.key_digest
     if isinstance(p, MultiSig):
@@ -104,13 +104,13 @@ def serialize_predicate(p: Predicate) -> bytes:
             out += wire.varbytes(pk)
         return out
     if isinstance(p, TimeLocked):
-        return wire.u8(0x03) + wire.u64(p.unlock_height) + serialize_predicate(p.inner)
+        return wire.u8(0x03) + wire.u64(p.unlock_height) + serialize_predicate(p.inner, depth + 1)
     if isinstance(p, OracleGated):
         return (
             wire.u8(0x04)
             + wire.varbytes(p.oracle_key)
             + wire.varbytes(p.expression_id.encode())
-            + serialize_predicate(p.inner)
+            + serialize_predicate(p.inner, depth + 1)
         )
     if isinstance(p, AnyoneCanSpend):
         return wire.u8(0x05)
@@ -226,7 +226,13 @@ def serialize_tx(tx: Transaction, with_witness: bool = True) -> bytes:
     data = wire.u16(len(tx.inputs))
     for inp in tx.inputs:
         data += _serialize_input(inp, with_witness)
-    data += wire.u16(len(tx.outputs))
+    return data + _serialize_tail(tx)
+
+
+def _serialize_tail(tx: Transaction) -> bytes:
+    """The bytes after the inputs, in a tx and in its signature messages:
+    outputs and lock height."""
+    data = wire.u16(len(tx.outputs))
     for out in tx.outputs:
         data += _serialize_output(out)
     if tx.lock_height is None:
@@ -257,35 +263,44 @@ def read_tx(r: wire.Reader) -> Transaction:
     return Transaction(tuple(inputs), outputs, lock_height)
 
 
+# Memos on the frozen instance: its fields never change, so neither do the
+# bytes they serialize to.  They live in the instance dict, outside the
+# dataclass fields, so equality and hashing still see only the fields.
+
 def txid(tx: Transaction) -> bytes:
     cached = getattr(tx, "_txid", None)
     if cached is None:
-        cached = crypto.digest(serialize_tx(tx))
-        object.__setattr__(tx, "_txid", cached)  # memo on the frozen instance
+        data = serialize_tx(tx)
+        cached = crypto.digest(data)
+        object.__setattr__(tx, "_size", len(data))
+        object.__setattr__(tx, "_txid", cached)
     return cached
 
 
 def tx_size(tx: Transaction) -> int:
-    return len(serialize_tx(tx))
+    txid(tx)  # serializes once, keeping the length beside the txid
+    return tx._size
 
 
 def sighash(tx: Transaction, input_index: int) -> bytes:
-    """Message signed by witnesses of input ``input_index``."""
+    """Message signed by witnesses of input ``input_index``.
+
+    The SIGHASH_ALL message is the same for every input, so it is hashed once
+    per tx; an anyone-can-pay input's message is its own and is not kept.
+    """
     inp = tx.inputs[input_index]
     if inp.anyone_can_pay:
-        data = wire.u8(0xA1) + _serialize_input(inp, with_witness=False)
-    else:
+        return crypto.digest(
+            wire.u8(0xA1) + _serialize_input(inp, with_witness=False) + _serialize_tail(tx)
+        )
+    cached = getattr(tx, "_sighash_all", None)
+    if cached is None:
         data = wire.u8(0xA0)
         for other in tx.inputs:
             data += _serialize_input(other, with_witness=False)
-    data += wire.u16(len(tx.outputs))
-    for out in tx.outputs:
-        data += _serialize_output(out)
-    if tx.lock_height is None:
-        data += wire.u8(0)
-    else:
-        data += wire.u8(1) + wire.u64(tx.lock_height)
-    return crypto.digest(data)
+        cached = crypto.digest(data + _serialize_tail(tx))
+        object.__setattr__(tx, "_sighash_all", cached)
+    return cached
 
 
 def _verify(public_key: bytes, message: bytes, signature: bytes,
@@ -478,7 +493,20 @@ def deserialize_block(data: bytes) -> Block:
 
 
 def block_hash(block: Block) -> bytes:
-    return crypto.digest(serialize_block(block))
+    cached = getattr(block, "_hash", None)
+    if cached is None:
+        cached = crypto.digest(serialize_block(block))
+        object.__setattr__(block, "_hash", cached)  # memo, as for ``txid``
+    return cached
+
+
+def _touch(touching: dict[bytes, list[int]], predicate: Predicate, pos: int) -> None:
+    """Record that the tx at ``pos`` touches ``predicate``'s key digest, if it
+    is a bare key hash; positions arrive in block order, so each is kept once."""
+    if isinstance(predicate, PayToKeyHash):
+        positions = touching.setdefault(predicate.key_digest, [])
+        if not positions or positions[-1] != pos:
+            positions.append(pos)
 
 
 @dataclass
@@ -493,6 +521,10 @@ class Chain:
     Height 0 is the genesis block; its transactions carry no inputs and mint
     the scenario's money supply, so value conservation is asserted from
     height 1 onward.
+
+    Each applied block is indexed by key digest as it is applied: for every
+    digest, the positions of the block's transactions that create or spend a
+    bare ``PayToKeyHash`` output of it (``txs_touching``).
     """
 
     def __init__(self, genesis_funding: tuple[Transaction, ...], timestamp: float = 0.0):
@@ -507,6 +539,7 @@ class Chain:
         self.utxo = UtxoSet()
         self.tx_index: dict[bytes, tuple[int, int]] = {}  # txid -> (height, position)
         self._undo: list[_Undo] = []
+        self._touching: list[dict[bytes, list[int]]] = []  # per height, beside _undo
         self._apply_genesis(genesis)
 
     @property
@@ -519,6 +552,7 @@ class Chain:
 
     def _apply_genesis(self, genesis: Block) -> None:
         undo = _Undo(spent=[], created=[])
+        touching: dict[bytes, list[int]] = {}
         for pos, tx in enumerate(genesis.transactions):
             if tx.inputs:
                 raise InvalidTxInBlock("genesis transactions must not spend inputs")
@@ -526,9 +560,11 @@ class Chain:
             for i, out in enumerate(tx.outputs):
                 self.utxo.add((tid, i), out, 0)
                 undo.created.append((tid, i))
+                _touch(touching, out.predicate, pos)
             self.tx_index[tid] = (0, pos)
         self.blocks.append(genesis)
         self._undo.append(undo)
+        self._touching.append(touching)
 
     def apply_block(self, block: Block) -> None:
         if block.prev_block_hash != block_hash(self.tip):
@@ -538,6 +574,7 @@ class Chain:
         if block.timestamp <= self.tip.timestamp:
             raise BadParent("block timestamp not increasing")
         undo = _Undo(spent=[], created=[])
+        touching: dict[bytes, list[int]] = {}
         total_fees = 0
         try:
             for pos, tx in enumerate(block.transactions):
@@ -545,10 +582,13 @@ class Chain:
                 total_fees += tx_fee(tx, self.utxo)
                 tid = txid(tx)
                 for inp in tx.inputs:
-                    undo.spent.append((inp.outpoint, self.utxo.spend(inp.outpoint)))
+                    entry = self.utxo.spend(inp.outpoint)
+                    undo.spent.append((inp.outpoint, entry))
+                    _touch(touching, entry.output.predicate, pos)
                 for i, out in enumerate(tx.outputs):
                     self.utxo.add((tid, i), out, block.height)
                     undo.created.append((tid, i))
+                    _touch(touching, out.predicate, pos)
                 self.tx_index[tid] = (block.height, pos)
         except Exception as exc:
             self._rollback(undo, block)
@@ -564,6 +604,7 @@ class Chain:
             )
         self.blocks.append(block)
         self._undo.append(undo)
+        self._touching.append(touching)
         for tx in block.transactions:
             vars(tx).pop("_verified", None)  # confirmed: its signatures are not checked again
 
@@ -583,8 +624,15 @@ class Chain:
             raise BadParent("cannot revert the genesis block")
         block = self.blocks.pop()
         undo = self._undo.pop()
+        self._touching.pop()
         self._rollback(undo, block)
         return block
+
+    def txs_touching(self, block: Block, key_digest: bytes) -> list[Transaction]:
+        """The transactions of ``block``, a block of this chain, that create or
+        spend a bare ``PayToKeyHash`` output of ``key_digest``, in block order."""
+        txs = block.transactions
+        return [txs[pos] for pos in self._touching[block.height].get(key_digest, ())]
 
     def confirmations(self, tid: bytes, as_of_height: Optional[int] = None) -> Optional[int]:
         """Burial depth at ``as_of_height`` (default tip); None if unconfirmed."""

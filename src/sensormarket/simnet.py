@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .errors import NotFound, ValidationError
@@ -46,14 +46,6 @@ def next_block_delay(rng: random.Random, mean: float) -> float:
     if mean <= 0:
         raise ValueError("mean must be positive")
     return rng.expovariate(1.0 / mean)
-
-
-@dataclass(order=True)
-class Event:
-    fire_time: float
-    seq: int
-    kind: str = field(compare=False)
-    callback: Callable[[], None] = field(compare=False)
 
 
 class Node:
@@ -136,7 +128,9 @@ class Simulation:
     def __init__(self, config: SimConfig, genesis_funding: tuple[Transaction, ...] = ()):
         self.config = config
         self.clock = 0.0
-        self._heap: list[Event] = []
+        # (fire_time, seq, kind, callback): seq is unique, so tuple order is
+        # time, then FIFO, and never compares a kind or a callback.
+        self._heap: list[tuple[float, int, str, Callable[[], None]]] = []
         self._seq = 0
         self._rngs: dict[str, random.Random] = {}
         self.chain = Chain(genesis_funding)
@@ -164,7 +158,7 @@ class Simulation:
     def schedule(self, at: float, kind: str, callback: Callable[[], None]) -> None:
         if at < self.clock:
             raise ValueError("cannot schedule into the past")
-        heapq.heappush(self._heap, Event(at, self._seq, kind, callback))
+        heapq.heappush(self._heap, (at, self._seq, kind, callback))
         self._seq += 1
 
     def schedule_in(self, delay: float, kind: str, callback: Callable[[], None]) -> None:
@@ -173,10 +167,9 @@ class Simulation:
     def run_until(self, t_end: float) -> dict:
         if t_end < self.clock:
             raise ValueError("t_end is in the past")
-        while self._heap and self._heap[0].fire_time <= t_end:
-            event = heapq.heappop(self._heap)
-            self.clock = event.fire_time
-            event.callback()
+        while self._heap and self._heap[0][0] <= t_end:
+            self.clock, _, _, callback = heapq.heappop(self._heap)
+            callback()
         self.clock = t_end
         return self.snapshot()
 

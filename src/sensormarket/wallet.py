@@ -60,7 +60,9 @@ class Wallet:
         return sum(self.utxos.values())
 
     def _scan_block(self, block: Block) -> None:
-        for tx in block.transactions:
+        # Only a tx that pays or spends our digest can change ``utxos``: it
+        # holds nothing but outpoints that pay it.
+        for tx in self.node.sim.chain.txs_touching(block, self.key_digest):
             for inp in tx.inputs:
                 self.utxos.pop(inp.outpoint, None)
             tid = txid(tx)

@@ -38,6 +38,13 @@ def spend(outpoint, *outputs, lock_height=None):
     )
 
 
+def nested_time_locks(depth):
+    predicate = PayToKeyHash(A.key_digest)
+    for height in range(depth - 1):
+        predicate = TimeLocked(height, predicate)
+    return predicate
+
+
 def rejections(sim):
     return [(e["txid"], e["reason"]) for e in sim.events_log if e["kind"] == "tx_rejected"]
 
@@ -63,6 +70,7 @@ def test_varbytes_longer_than_u16_is_malformed():
     lambda op: spend(op, TxOutput(900, TimeLocked(-5, AnyoneCanSpend()))),
     lambda op: spend((op[0] + b"\x01", op[1]), TxOutput(900, PayToKeyHash(A.key_digest))),
     lambda op: Transaction((TxInput(*op, anyone_can_pay="yes"),), (TxOutput(900, AnyoneCanSpend()),)),
+    lambda op: spend(op, TxOutput(900, nested_time_locks(5000))),  # not a RecursionError
 ])
 def test_unserializable_tx_is_rejected_without_a_txid(tx_of):
     sim, outpoint = funded_sim()

@@ -196,8 +196,6 @@ def test_decrypt_is_the_same_from_a_fresh_and_a_used_keypair():
 
 
 def test_each_private_key_is_parsed_at_most_once_per_keypair(monkeypatch):
-    kp = make_keypair(19)
-    envelope = crypto.encrypt_for(kp.public_key, b"pm25=9", ephemeral_seed=seed_bytes(210))
     built = {"signing": 0, "encryption": 0}
 
     def counting(kind, build):
@@ -208,6 +206,8 @@ def test_each_private_key_is_parsed_at_most_once_per_keypair(monkeypatch):
 
     monkeypatch.setattr(crypto, "_signing_key", counting("signing", crypto._signing_key))
     monkeypatch.setattr(crypto, "_encryption_key", counting("encryption", crypto._encryption_key))
+    kp = make_keypair(19)  # generating the pair counts too
+    envelope = crypto.encrypt_for(kp.public_key, b"pm25=9", ephemeral_seed=seed_bytes(210))
     for i in range(100):
         assert crypto.verify(kp.public_key, b"%d" % i, crypto.sign(kp, b"%d" % i))
         assert crypto.decrypt(kp, envelope) == b"pm25=9"

@@ -92,11 +92,15 @@ def test_chain_dump_is_lossless():
     run.execute()
     lines = run.dump_chain().strip().split("\n")
     assert len(lines) == run.sim.chain.height + 1
+    prev = "00" * 32
     for line, block in zip(lines, run.sim.chain.blocks):
         doc = json.loads(line)
         restored = deserialize_block(bytes.fromhex(doc["block_hex"]))
         assert restored == block
-        assert doc["hash"] == block_hash(block).hex()
+        # Hashed afresh from the dumped bytes, so a stale memo cannot pass.
+        assert doc["hash"] == block_hash(restored).hex()
+        assert doc["prev"] == prev
+        prev = doc["hash"]
 
 
 def test_registry_dump_lists_records():
