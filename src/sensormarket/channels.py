@@ -31,12 +31,10 @@ from .ledger import (
     Transaction,
     TxInput,
     TxOutput,
-    Witness,
-    sighash,
     txid,
 )
 from .simnet import Node, Simulation
-from .wallet import Wallet
+from .wallet import Wallet, sign_inputs
 
 
 @dataclass
@@ -121,18 +119,7 @@ class Channel:
             outputs=tuple(outputs),
             lock_height=lock_height,
         )
-        msg = sighash(tx, 0)
-        witness = Witness(
-            signatures=(
-                (self.funder_keypair.public_key, crypto.sign(self.funder_keypair, msg)),
-                (self.sensor_keypair.public_key, crypto.sign(self.sensor_keypair, msg)),
-            )
-        )
-        return Transaction(
-            inputs=(TxInput(self.funding_txid, 0, witness),),
-            outputs=tx.outputs,
-            lock_height=lock_height,
-        )
+        return sign_inputs(sign_inputs(tx, self.funder_keypair), self.sensor_keypair)
 
     def _on_funded(self) -> None:
         self.funded = True
@@ -204,10 +191,8 @@ class Channel:
                 f"height {self.sim.chain.height} < expiry {self.expiry_height}"
             )
         self.closed = True
-        refund = self.state.settlement_tx if self.state.sequence == 0 else None
-        if refund is None:
-            # Honest funder can only reclaim via the pre-signed sequence-0 state.
-            refund = self._initial_refund
+        # Honest funder can only reclaim via the pre-signed sequence-0 state.
+        refund = self._initial_refund
         self.settle_txid = txid(refund)
         self.sim.broadcast(refund, self.node)
         return refund

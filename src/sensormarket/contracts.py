@@ -31,7 +31,7 @@ from .ledger import (
     txid,
 )
 from .simnet import Node, Simulation
-from .wallet import Wallet
+from .wallet import Wallet, sign_inputs
 
 
 # --- escrow -----------------------------------------------------------------
@@ -97,16 +97,7 @@ def escrow_release(
     rejects.
     """
     tx = build_escrow_spend(agreement, destination_digest, sim.config.default_fee)
-    msg = sighash(tx, 0)
-    witness = Witness(
-        signatures=(
-            (signer_a.public_key, crypto.sign(signer_a, msg)),
-            (signer_b.public_key, crypto.sign(signer_b, msg)),
-        )
-    )
-    tx = Transaction(
-        inputs=(TxInput(*agreement.outpoint, witness),), outputs=tx.outputs
-    )
+    tx = sign_inputs(sign_inputs(tx, signer_a), signer_b)
     sim.broadcast(tx, node)
     seller_digest = crypto.key_digest(agreement.seller_key)
     agreement.status = "Released" if destination_digest == seller_digest else "Refunded"
@@ -148,13 +139,9 @@ def make_pledge(
         inputs=(TxInput(*outpoint, anyone_can_pay=True),),
         outputs=(campaign.goal_output,),
     )
-    msg = sighash(template, 0)
-    witness = Witness(
-        signatures=((keypair.public_key, crypto.sign(keypair, msg)),)
-    )
     return Pledge(
         contributor_key=keypair.public_key,
-        tx_input=TxInput(*outpoint, witness, anyone_can_pay=True),
+        tx_input=sign_inputs(template, keypair).inputs[0],
         amount=amount,
     )
 
@@ -314,20 +301,13 @@ class OracleBet:
         expression = self.expr_a if a_wins else self.expr_b
         tx = self.build_settlement(winner_key.key_digest)
         inputs = []
-        for i, outpoint in enumerate((self.outpoint_a, self.outpoint_b)):
-            msg = sighash(tx, i)
+        for i, inp in enumerate(tx.inputs):
             oracle_sig = self.oracle.sign_settlement(expression, tx, i)
             if oracle_sig is None:
                 return None
-            witness = Witness(
-                signatures=(
-                    (self.key_a.public_key, crypto.sign(self.key_a, msg)),
-                    (self.key_b.public_key, crypto.sign(self.key_b, msg)),
-                ),
-                oracle_signature=oracle_sig,
-            )
-            inputs.append(TxInput(*outpoint, witness))
-        signed = Transaction(inputs=tuple(inputs), outputs=tx.outputs)
+            inputs.append(TxInput(*inp.outpoint, Witness(oracle_signature=oracle_sig)))
+        tx = Transaction(tuple(inputs), tx.outputs)
+        signed = sign_inputs(sign_inputs(tx, self.key_a), self.key_b)
         self.sim.broadcast(signed, self.node)
         self.settled = "a" if a_wins else "b"
         self.settle_txid = txid(signed)

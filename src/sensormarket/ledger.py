@@ -222,10 +222,10 @@ def _serialize_input(inp: TxInput, with_witness: bool) -> bytes:
     return data
 
 
-def serialize_tx(tx: Transaction, with_witness: bool = True) -> bytes:
+def serialize_tx(tx: Transaction) -> bytes:
     data = wire.u16(len(tx.inputs))
     for inp in tx.inputs:
-        data += _serialize_input(inp, with_witness)
+        data += _serialize_input(inp, with_witness=True)
     return data + _serialize_tail(tx)
 
 
@@ -401,6 +401,8 @@ class UtxoSet:
 
 
 def tx_fee(tx: Transaction, utxo: UtxoSet) -> int:
+    """The fee summed on its own: the tests' reference for the fee that
+    ``validate_transaction`` returns."""
     total_in = 0
     for inp in tx.inputs:
         entry = utxo.get(inp.outpoint)
@@ -410,8 +412,8 @@ def tx_fee(tx: Transaction, utxo: UtxoSet) -> int:
     return total_in - sum(out.value for out in tx.outputs)
 
 
-def validate_transaction(tx: Transaction, utxo: UtxoSet, height: int) -> None:
-    """Raise a ValidationError naming the first failing rule; silent if valid.
+def validate_transaction(tx: Transaction, utxo: UtxoSet, height: int) -> int:
+    """Return the fee, or raise a ValidationError naming the first failing rule.
 
     Signature cache: the triples of a tx that passes are memoised on the tx
     (``verified_signatures``), so validating it again, at another node's
@@ -445,10 +447,12 @@ def validate_transaction(tx: Transaction, utxo: UtxoSet, height: int) -> None:
             )
         total_in += entry.output.value
         satisfy(entry.output.predicate, inp.witness, sighash(tx, i), height, verified)
-    if total_in < sum(out.value for out in tx.outputs):
+    fee = total_in - sum(out.value for out in tx.outputs)
+    if fee < 0:
         raise NegativeFee("outputs exceed inputs")
     if verified:
         object.__setattr__(tx, "_verified", verified)  # memo on the frozen instance
+    return fee
 
 
 def verified_signatures(tx: Transaction) -> Optional[set]:
@@ -578,8 +582,7 @@ class Chain:
         total_fees = 0
         try:
             for pos, tx in enumerate(block.transactions):
-                validate_transaction(tx, self.utxo, block.height)
-                total_fees += tx_fee(tx, self.utxo)
+                total_fees += validate_transaction(tx, self.utxo, block.height)
                 tid = txid(tx)
                 for inp in tx.inputs:
                     entry = self.utxo.spend(inp.outpoint)
@@ -654,30 +657,23 @@ class Chain:
 def scan_chain_safety(chain: Chain) -> None:
     """Post-hoc audit: no double spends ever, conservation at every height > 0.
 
-    Raises AssertionError on violation; used by reports and acceptance tests.
+    Replays one outpoint -> value map.  Raises AssertionError on violation;
+    used by reports and acceptance tests.
     """
-    utxo: set[tuple[bytes, int]] = set()
+    unspent: dict[tuple[bytes, int], int] = {}
     for block in chain.blocks:
         total_in = 0
         total_out = 0
         for tx in block.transactions:
             for inp in tx.inputs:
-                assert inp.outpoint in utxo, "double spend or missing UTXO detected"
-                utxo.discard(inp.outpoint)
+                value = unspent.pop(inp.outpoint, None)
+                assert value is not None, "double spend or missing UTXO detected"
+                total_in += value
             tid = txid(tx)
             for i, out in enumerate(tx.outputs):
                 total_out += out.value
-                utxo.add((tid, i))
-            if block.height > 0:
-                total_in += sum(_lookup_value(chain, inp.outpoint) for inp in tx.inputs)
+                unspent[(tid, i)] = out.value
         if block.height > 0:
             assert total_in == total_out + block.fee_reward, (
                 f"value not conserved at height {block.height}"
             )
-
-
-def _lookup_value(chain: Chain, outpoint: tuple[bytes, int]) -> int:
-    tx = chain.find_tx(outpoint[0])
-    if tx is None:
-        raise MissingUtxo("outpoint refers to unknown transaction")
-    return tx.outputs[outpoint[1]].value

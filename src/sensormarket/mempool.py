@@ -26,7 +26,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .errors import Conflict, MissingUtxo
+from .errors import Conflict
 from .ledger import (
     Chain,
     Transaction,
@@ -97,10 +97,7 @@ class Mempool:
                 )
         view = _OverlayUtxo(chain.utxo, self)
         height = chain.height + 1
-        validate_transaction(tx, view, height)
-        fee = sum(view.get(i.outpoint).output.value for i in tx.inputs) - sum(
-            o.value for o in tx.outputs
-        )
+        fee = validate_transaction(tx, view, height)
         entry = MempoolEntry(tx=tx, txid=tid, fee=fee, size=tx_size(tx), seq=self._seq)
         self._seq += 1
         self.entries[tid] = entry

@@ -75,10 +75,16 @@ def parse_scenario(text: str) -> Scenario:
     for key in ("name", "actors", "steps"):
         if key not in doc:
             raise ParseError(f"scenario is missing required key {key!r}")
+    for key in ("actors", "steps"):
+        if not isinstance(doc[key], list) or not all(isinstance(x, dict) for x in doc[key]):
+            raise ParseError(f"{key!r} must be a list of objects")
     actor_ids = {a.get("id") for a in doc["actors"]}
     if None in actor_ids or len(actor_ids) != len(doc["actors"]):
         raise ParseError("every actor needs a unique 'id'")
-    times = [float(s.get("at", 0)) for s in doc["steps"]]
+    try:
+        times = [float(s.get("at", 0)) for s in doc["steps"]]
+    except (TypeError, ValueError):
+        raise ParseError("every step's 'at' must be a number") from None
     if times != sorted(times):
         raise ParseError("step times must be non-decreasing")
     for step in doc["steps"]:
@@ -87,14 +93,49 @@ def parse_scenario(text: str) -> Scenario:
             ref = step.get(role)
             if ref is not None and ref not in actor_ids:
                 raise ParseError(f"step references undeclared actor {ref!r}")
+    for actor in doc["actors"]:
+        if "kind" not in actor:
+            raise ParseError(f"actor {actor['id']!r} has no 'kind'")
+        funding = actor.get("funding", 0)
+        amounts = funding if isinstance(funding, list) else [funding]
+        if not all(isinstance(amount, (int, float)) for amount in amounts):
+            raise ParseError(f"actor {actor['id']!r} has a non-numeric 'funding'")
+    if any("op" not in step for step in doc["steps"]):
+        raise ParseError("every step needs an 'op'")
+    try:
+        horizon_s = float(doc.get("horizon_s", 18000))
+    except (TypeError, ValueError):
+        raise ParseError("'horizon_s' must be a number") from None
+    if horizon_s < 0:
+        raise ParseError("'horizon_s' must not be negative")
+    config = doc.get("config", {})
+    if not isinstance(config, dict):
+        raise ParseError("'config' must be an object")
+    _sim_config(config)  # a value SimConfig refuses fails here, not at run time
     return Scenario(
         name=doc["name"],
-        config=doc.get("config", {}),
-        horizon_s=float(doc.get("horizon_s", 18000)),
+        config=config,
+        horizon_s=horizon_s,
         actors=doc["actors"],
         steps=doc["steps"],
         assertions=doc.get("assertions", []),
     )
+
+
+def _sim_config(cfg_doc: dict) -> SimConfig:
+    """The SimConfig a scenario's ``config`` describes; a value it cannot
+    take is a ParseError."""
+    try:
+        return SimConfig(
+            rng_seed=int(cfg_doc.get("rng_seed", 1)),
+            mean_block_interval_s=float(cfg_doc.get("mean_block_interval_s", 600.0)),
+            propagation_delay_s=float(cfg_doc.get("propagation_delay_s", 1.0)),
+            max_block_size=int(cfg_doc.get("max_block_size", 1_000_000)),
+            num_nodes=int(cfg_doc.get("num_nodes", 2)),
+            default_fee=int(cfg_doc.get("default_fee", 50)),
+        )
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"bad config: {exc}") from exc
 
 
 @dataclass
@@ -133,14 +174,7 @@ class ScenarioRun:
         cfg_doc = dict(self.scenario.config)
         if self.seed_override is not None:
             cfg_doc["rng_seed"] = self.seed_override
-        config = SimConfig(
-            rng_seed=int(cfg_doc.get("rng_seed", 1)),
-            mean_block_interval_s=float(cfg_doc.get("mean_block_interval_s", 600.0)),
-            propagation_delay_s=float(cfg_doc.get("propagation_delay_s", 1.0)),
-            max_block_size=int(cfg_doc.get("max_block_size", 1_000_000)),
-            num_nodes=int(cfg_doc.get("num_nodes", 2)),
-            default_fee=int(cfg_doc.get("default_fee", 50)),
-        )
+        config = _sim_config(cfg_doc)
         keypairs = {
             a["id"]: crypto.keypair_from_label(f"{self.scenario.name}/{a['id']}")
             for a in self.scenario.actors

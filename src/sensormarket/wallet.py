@@ -8,7 +8,6 @@ each other's change without conflicts.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Optional
 
 from . import crypto
@@ -29,7 +28,8 @@ from .simnet import Node
 
 def sign_inputs(tx: Transaction, keypair: crypto.KeyPair,
                 indices: Optional[list[int]] = None) -> Transaction:
-    """Attach (pubkey, signature) witnesses for the given input indices."""
+    """Attach (pubkey, signature) witnesses for the given input indices,
+    keeping each input's oracle signature: the one signer of every spend."""
     if indices is None:
         indices = list(range(len(tx.inputs)))
     inputs = list(tx.inputs)
@@ -40,8 +40,12 @@ def sign_inputs(tx: Transaction, keypair: crypto.KeyPair,
             signatures=old.witness.signatures + ((keypair.public_key, sig),),
             oracle_signature=old.witness.oracle_signature,
         )
-        inputs[i] = replace(old, witness=witness)
-    return replace(tx, inputs=tuple(inputs))
+        inputs[i] = TxInput(old.prev_txid, old.prev_index, witness, old.anyone_can_pay)
+    signed = Transaction(tuple(inputs), tx.outputs, tx.lock_height)
+    # The SIGHASH_ALL message leaves witnesses out, so the memo holds for both.
+    if "_sighash_all" in vars(tx):
+        object.__setattr__(signed, "_sighash_all", tx._sighash_all)
+    return signed
 
 
 class Wallet:

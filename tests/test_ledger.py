@@ -426,6 +426,25 @@ def test_scan_chain_safety_accepts_honest_history():
     scan_chain_safety(chain)
 
 
+def test_scan_chain_safety_rejects_violations():
+    # Blocks injected past apply_block, which would refuse them.
+    chain = make_chain((A, 1000))
+    t1 = spend(chain, genesis_outpoint(chain), [TxOutput(990, PayToKeyHash(B.key_digest))], A)
+    mine(chain, [t1], 10)
+    scan_chain_safety(chain)
+    honest = list(chain.blocks)
+
+    again = spend(chain, genesis_outpoint(chain), [TxOutput(980, PayToKeyHash(C.key_digest))], A)
+    chain.blocks.append(next_block(chain, [again], 20))
+    with pytest.raises(AssertionError, match="double spend or missing UTXO detected"):
+        scan_chain_safety(chain)
+
+    chain.blocks[:] = honest
+    chain.blocks[1] = Block(1, honest[1].prev_block_hash, honest[1].timestamp, (t1,), 11)
+    with pytest.raises(AssertionError, match="value not conserved at height 1"):
+        scan_chain_safety(chain)
+
+
 def test_genesis_must_not_spend():
     from sensormarket.ledger import Chain
     bad = Transaction(

@@ -38,27 +38,35 @@ def test_parse_error_reports_position():
     assert "line 1" in str(exc.value)
 
 
+def _doc(**fields):
+    """A minimal well-formed scenario document with ``fields`` replaced."""
+    doc = {"name": "x", "actors": [{"id": "a", "kind": "requester"}],
+           "steps": [{"at": 0, "op": "transfer"}]}
+    return json.dumps({**doc, **fields})
+
+
 def test_parse_rejects_structural_problems():
-    with pytest.raises(ParseError):
-        parse_scenario('["not", "an", "object"]')
-    with pytest.raises(ParseError):
-        parse_scenario('{"actors": [], "steps": []}')  # missing name
-    with pytest.raises(ParseError):
-        parse_scenario(json.dumps({
-            "name": "x",
-            "actors": [{"id": "a"}, {"id": "a"}],  # duplicate id
-            "steps": [],
-        }))
-    with pytest.raises(ParseError):
-        parse_scenario(json.dumps({
-            "name": "x", "actors": [{"id": "a"}],
-            "steps": [{"at": 5, "op": "transfer"}, {"at": 1, "op": "transfer"}],
-        }))
-    with pytest.raises(ParseError):
-        parse_scenario(json.dumps({
-            "name": "x", "actors": [{"id": "a"}],
-            "steps": [{"at": 0, "op": "transfer", "actor": "ghost"}],
-        }))
+    # Each document trips the rule its message names.
+    cases = [
+        ('["not", "an", "object"]', "must be a JSON object"),
+        ('{"actors": [], "steps": []}', "missing required key 'name'"),
+        (_doc(actors=[{"id": "a"}, {"id": "a"}]), "unique 'id'"),
+        (_doc(steps=[{"at": 5, "op": "transfer"}, {"at": 1, "op": "transfer"}]),
+         "non-decreasing"),
+        (_doc(steps=[{"at": 0, "op": "transfer", "actor": "ghost"}]), "undeclared actor"),
+        (_doc(actors=[1]), "'actors' must be a list of objects"),
+        (_doc(steps=5), "'steps' must be a list of objects"),
+        (_doc(steps=[{"at": "soon", "op": "transfer"}]), "'at' must be a number"),
+        (_doc(steps=[{"at": 0}]), "needs an 'op'"),
+        (_doc(actors=[{"id": "a"}]), "has no 'kind'"),
+        (_doc(actors=[{"id": "a", "kind": "requester", "funding": "lots"}]),
+         "non-numeric 'funding'"),
+        (_doc(horizon_s=-5), "'horizon_s' must not be negative"),
+        (_doc(config={"num_nodes": 0}), "bad config: need at least one node"),
+    ]
+    for text, message in cases:
+        with pytest.raises(ParseError, match=message):
+            parse_scenario(text)
 
 
 def test_parse_accepts_bundled_files():
@@ -136,6 +144,13 @@ def test_cli_malformed_file_is_usage_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["run", str(bad)]) == 2
+
+
+def test_cli_malformed_scenario_is_usage_error(tmp_path, capsys):
+    bad = tmp_path / "no_op.json"
+    bad.write_text(_doc(steps=[{"at": 0}]))
+    assert main(["run", str(bad)]) == 2
+    assert "needs an 'op'" in capsys.readouterr().err
 
 
 def test_cli_failing_assertion_exits_one(tmp_path, capsys):
