@@ -119,7 +119,7 @@ class Channel:
             outputs=tuple(outputs),
             lock_height=lock_height,
         )
-        return sign_inputs(sign_inputs(tx, self.funder_keypair), self.sensor_keypair)
+        return sign_inputs(tx, self.funder_keypair, self.sensor_keypair)
 
     def _on_funded(self) -> None:
         self.funded = True

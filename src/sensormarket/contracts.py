@@ -97,7 +97,7 @@ def escrow_release(
     rejects.
     """
     tx = build_escrow_spend(agreement, destination_digest, sim.config.default_fee)
-    tx = sign_inputs(sign_inputs(tx, signer_a), signer_b)
+    tx = sign_inputs(tx, signer_a, signer_b)
     sim.broadcast(tx, node)
     seller_digest = crypto.key_digest(agreement.seller_key)
     agreement.status = "Released" if destination_digest == seller_digest else "Refunded"
@@ -307,7 +307,7 @@ class OracleBet:
                 return None
             inputs.append(TxInput(*inp.outpoint, Witness(oracle_signature=oracle_sig)))
         tx = Transaction(tuple(inputs), tx.outputs)
-        signed = sign_inputs(sign_inputs(tx, self.key_a), self.key_b)
+        signed = sign_inputs(tx, self.key_a, self.key_b)
         self.sim.broadcast(signed, self.node)
         self.settled = "a" if a_wins else "b"
         self.settle_txid = txid(signed)

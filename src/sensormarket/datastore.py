@@ -12,7 +12,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from . import crypto, wire
-from .errors import AllReplicasBadOrMissing, MalformedTx, ReplicationUnsatisfiable
+from .errors import AllReplicasBadOrMissing, AnchorMismatch, MalformedTx, ReplicationUnsatisfiable
+from .ledger import MAX_PAYLOAD
+from .payload import ANCHORED
 
 MAX_LOCATORS = 8
 
@@ -105,3 +107,23 @@ def fetch(
 
 def verify_anchor(content: bytes, anchor: Anchor) -> bool:
     return crypto.digest(content) == anchor.blob_id
+
+
+def seal(content: bytes, inline_tag: int, anchored_tag: int,
+         stores: list[Store], replication: int) -> bytes:
+    """``inline_tag`` and ``content`` if that fits ``MAX_PAYLOAD``, else ``anchored_tag``
+    and the anchor of ``content`` stored on the first ``replication`` stores."""
+    if 1 + len(content) <= MAX_PAYLOAD:
+        return bytes([inline_tag]) + content
+    return bytes([anchored_tag]) + store(stores, content, replication).serialize()
+
+
+def unseal(payload: bytes, stores_by_id: dict[int, Store],
+           on_tamper: Optional[Callable[[int], None]] = None) -> bytes:
+    """The content ``seal`` put in ``payload``; ``AnchorMismatch`` if no replica matches."""
+    if payload[0] not in ANCHORED:
+        return payload[1:]
+    try:
+        return fetch(Anchor.deserialize(payload[1:]), stores_by_id, on_tamper)
+    except AllReplicasBadOrMissing as exc:
+        raise AnchorMismatch(str(exc)) from exc

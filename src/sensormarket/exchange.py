@@ -21,13 +21,13 @@ from typing import Callable, Optional
 
 from . import crypto, datastore, payload as payload_tags
 from .errors import (
-    AllReplicasBadOrMissing,
     AnchorMismatch,
     DecryptFailed,
     MalformedTx,
     NoSensorFunds,
+    ReplicationUnsatisfiable,
 )
-from .ledger import Block, MAX_PAYLOAD, PayToKeyHash, Transaction, TxOutput, txid
+from .ledger import Block, PayToKeyHash, Transaction, TxOutput, first_signer, outputs_paying, txid
 from .simnet import Node, Simulation
 from .wallet import Wallet
 
@@ -51,19 +51,6 @@ class DatumDelivery:
     request_time: Optional[float]
     delivery_time: float
     latency_blocks: int
-
-
-def _paying_outputs(tx: Transaction, key_digest: bytes):
-    for i, out in enumerate(tx.outputs):
-        if isinstance(out.predicate, PayToKeyHash) and out.predicate.key_digest == key_digest:
-            yield i, out
-
-
-def _first_witness_key(tx: Transaction) -> Optional[bytes]:
-    for inp in tx.inputs:
-        if inp.witness.signatures:
-            return inp.witness.signatures[0][0]
-    return None
 
 
 class SensorActor:
@@ -106,6 +93,10 @@ class SensorActor:
                 self.sim.log_event("sensor_unfunded", sensor=self.actor_id,
                                    payment_txid=notice.payment_txid.hex(), error=str(exc))
                 return
+            except ReplicationUnsatisfiable as exc:  # too few stores: give the payment up
+                self.handled.add(notice.payment_txid)
+                self.sim.log_event("sensor_unfulfillable", sensor=self.actor_id,
+                                   payment_txid=notice.payment_txid.hex(), error=str(exc))
 
     def detect_payment(self) -> list[PaymentNotice]:
         """Confirmed, not-yet-handled incoming payments meeting the price.
@@ -122,12 +113,12 @@ class SensorActor:
             tid = txid(tx)
             if tid in self.handled:
                 continue
-            payer_key = _first_witness_key(tx)
+            payer_key = first_signer(tx)
             if payer_key is None or crypto.key_digest(payer_key) == self.wallet.key_digest:
                 continue  # our own spend (change back to us) is not a payment
             if not self._is_plain_payment(tx):
                 continue  # contract settlements are not datum requests
-            amount = sum(out.value for _, out in _paying_outputs(tx, self.wallet.key_digest))
+            amount = sum(out.value for _, out in outputs_paying(tx, self.wallet.key_digest))
             if amount == 0:
                 continue
             if amount < self.price_per_datum:
@@ -161,14 +152,8 @@ class SensorActor:
         envelope = crypto.encrypt_for(
             notice.payer_public_key, datum, ephemeral_seed=self._rng.randbytes(32)
         )
-        sealed = envelope.serialize()
-        if 1 + len(sealed) <= MAX_PAYLOAD:
-            data = bytes([payload_tags.DATUM_INLINE]) + sealed
-            mode = "inline"
-        else:
-            anchor = datastore.store(self.stores, sealed, self.replication)
-            data = bytes([payload_tags.DATUM_ANCHORED]) + anchor.serialize()
-            mode = "anchored"
+        data = datastore.seal(envelope.serialize(), payload_tags.DATUM_INLINE,
+                              payload_tags.DATUM_ANCHORED, self.stores, self.replication)
         payer_digest = crypto.key_digest(notice.payer_public_key)
         tx = self.wallet.create_tx(
             [TxOutput(MARKER_VALUE, PayToKeyHash(payer_digest), data)], fee=fee
@@ -180,7 +165,7 @@ class SensorActor:
                 "payment_txid": notice.payment_txid.hex(),
                 "delivery_txid": txid(tx).hex(),
                 "amount": notice.amount,
-                "mode": mode,
+                "mode": "anchored" if data[0] in payload_tags.ANCHORED else "inline",
                 "time": self.sim.clock,
             }
         )
@@ -246,17 +231,12 @@ class RequesterActor:
     def _try_take_delivery(
         self, tx: Transaction, tid: bytes, height: int
     ) -> Optional[DatumDelivery]:
-        data = None
-        for _, out in _paying_outputs(tx, self.wallet.key_digest):
-            if out.payload and out.payload[0] in (
-                payload_tags.DATUM_INLINE,
-                payload_tags.DATUM_ANCHORED,
-            ):
-                data = out.payload
-                break
+        datum_tags = (payload_tags.DATUM_INLINE, payload_tags.DATUM_ANCHORED)
+        data = next((out.payload for _, out in outputs_paying(tx, self.wallet.key_digest)
+                     if out.payload and out.payload[0] in datum_tags), None)
         if data is None:
             return None
-        sender_key = _first_witness_key(tx)
+        sender_key = first_signer(tx)
         if sender_key is None:
             return None
         sender_digest = crypto.key_digest(sender_key)
@@ -266,24 +246,9 @@ class RequesterActor:
         if request is None:
             return None
         try:
-            if data[0] == payload_tags.DATUM_INLINE:
-                envelope = crypto.CipherEnvelope.deserialize(data[1:])
-            else:
-                anchor = datastore.Anchor.deserialize(data[1:])
-                try:
-                    sealed = datastore.fetch(
-                        anchor,
-                        self.stores,
-                        on_tamper=lambda loc: self.sim.log_event(
-                            "replica_tampered", requester=self.actor_id, store=loc
-                        ),
-                    )
-                except AllReplicasBadOrMissing as exc:
-                    raise AnchorMismatch(str(exc)) from exc
-                if not datastore.verify_anchor(sealed, anchor):
-                    raise AnchorMismatch("fetched content does not match anchor")
-                envelope = crypto.CipherEnvelope.deserialize(sealed)
-            plaintext = crypto.decrypt(self.keypair, envelope)
+            sealed = datastore.unseal(data, self.stores, on_tamper=lambda loc: self.sim.log_event(
+                "replica_tampered", requester=self.actor_id, store=loc))
+            plaintext = crypto.decrypt(self.keypair, crypto.CipherEnvelope.deserialize(sealed))
         except (DecryptFailed, AnchorMismatch, MalformedTx) as exc:
             # Request stays outstanding; the failure is surfaced in the report.
             self.failures.append(

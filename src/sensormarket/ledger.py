@@ -282,6 +282,21 @@ def tx_size(tx: Transaction) -> int:
     return tx._size
 
 
+def first_signer(tx: Transaction) -> Optional[bytes]:
+    """Public key of the first signature on the first signed input: the tx's sender."""
+    for inp in tx.inputs:
+        if inp.witness.signatures:
+            return inp.witness.signatures[0][0]
+    return None
+
+
+def outputs_paying(tx: Transaction, key_digest: bytes) -> Iterator[tuple[int, TxOutput]]:
+    """``(index, output)`` of each bare ``PayToKeyHash`` output of ``key_digest``."""
+    for i, out in enumerate(tx.outputs):
+        if isinstance(out.predicate, PayToKeyHash) and out.predicate.key_digest == key_digest:
+            yield i, out
+
+
 def sighash(tx: Transaction, input_index: int) -> bytes:
     """Message signed by witnesses of input ``input_index``.
 

@@ -13,20 +13,21 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import crypto, datastore, payload as payload_tags, wire
-from .errors import AllReplicasBadOrMissing, MalformedTx, RecordTooLarge, UnknownName
-from .ledger import (
-    Block,
-    Chain,
-    MAX_PAYLOAD,
-    PayToKeyHash,
-    Transaction,
-    TxOutput,
-    txid,
+from .errors import (
+    AnchorMismatch,
+    MalformedTx,
+    RecordTooLarge,
+    ReplicationUnsatisfiable,
+    UnknownName,
 )
+from .ledger import Block, Chain, PayToKeyHash, Transaction, TxOutput, first_signer, txid
 from .simnet import Node, Simulation
 from .wallet import Wallet
 
 MAX_NAME_LEN = 64
+_REGISTER_TAGS = (payload_tags.REGISTRY_REGISTER, payload_tags.REGISTRY_REGISTER_ANCHORED)
+_RECORD_TAGS = _REGISTER_TAGS + (payload_tags.REGISTRY_UPDATE,
+                                payload_tags.REGISTRY_UPDATE_ANCHORED)
 
 
 @dataclass(frozen=True)
@@ -83,50 +84,36 @@ class IndexEntry:
     last_update_height: int
 
 
-def _record_from_payload(
-    data: bytes, stores: Optional[dict[int, datastore.Store]]
-) -> Optional[SensorRecord]:
-    tag = data[0]
-    try:
-        if tag in (payload_tags.REGISTRY_REGISTER, payload_tags.REGISTRY_UPDATE):
-            return SensorRecord.deserialize(data[1:])
-        anchor = datastore.Anchor.deserialize(data[1:])
-        if stores is None:
-            return None
-        blob = datastore.fetch(anchor, stores)
-        return SensorRecord.deserialize(blob)
-    except (MalformedTx, AllReplicasBadOrMissing):
-        return None  # malformed or unfetchable records are simply not indexed
-
-
 class Registry:
     """Name index maintained incrementally from the block-apply path."""
 
     def __init__(self, stores: Optional[dict[int, datastore.Store]] = None):
         self.index: dict[str, IndexEntry] = {}
-        self.stores = stores
+        self.stores = {} if stores is None else stores
 
     def apply_block(self, block: Block) -> None:
         registrations: dict[str, list[tuple[bytes, SensorRecord]]] = {}
         updates: list[tuple[bytes, SensorRecord, bytes]] = []
         for tx in block.transactions:
-            signer = self._first_signer_digest(tx)
-            if signer is None:
+            signer_key = first_signer(tx)
+            if signer_key is None:
                 continue
+            signer = crypto.key_digest(signer_key)
             for out in tx.outputs:
                 if not out.payload:
                     continue
                 tag = out.payload[0]
-                if tag in (payload_tags.REGISTRY_REGISTER,
-                           payload_tags.REGISTRY_REGISTER_ANCHORED):
-                    record = _record_from_payload(out.payload, self.stores)
-                    if record is not None and record.owner_key_digest == signer:
+                if tag not in _RECORD_TAGS:
+                    continue
+                try:
+                    record = SensorRecord.deserialize(datastore.unseal(out.payload, self.stores))
+                except (MalformedTx, AnchorMismatch):
+                    continue  # malformed or unfetchable records are simply not indexed
+                if tag in _REGISTER_TAGS:
+                    if record.owner_key_digest == signer:
                         registrations.setdefault(record.name, []).append((txid(tx), record))
-                elif tag in (payload_tags.REGISTRY_UPDATE,
-                             payload_tags.REGISTRY_UPDATE_ANCHORED):
-                    record = _record_from_payload(out.payload, self.stores)
-                    if record is not None:
-                        updates.append((txid(tx), record, signer))
+                else:
+                    updates.append((txid(tx), record, signer))
         for name, claims in registrations.items():
             if name in self.index:
                 continue  # first valid registration in an earlier block wins
@@ -144,13 +131,6 @@ class Registry:
                 continue  # ownership transfers are out of scope
             entry.record = record
             entry.last_update_height = block.height
-
-    @staticmethod
-    def _first_signer_digest(tx: Transaction) -> Optional[bytes]:
-        for inp in tx.inputs:
-            if inp.witness.signatures:
-                return crypto.key_digest(inp.witness.signatures[0][0])
-        return None
 
     @classmethod
     def rescan(cls, chain: Chain,
@@ -199,15 +179,10 @@ def _registry_tx(
     replication: int,
 ) -> Transaction:
     body = record.serialize()
-    if 1 + len(body) <= MAX_PAYLOAD:
-        data = bytes([inline_tag]) + body
-    else:
-        if not stores:
-            raise RecordTooLarge(
-                f"record is {len(body)} bytes and no datastore is configured"
-            )
-        anchor = datastore.store(stores, body, replication)
-        data = bytes([anchored_tag]) + anchor.serialize()
+    try:
+        data = datastore.seal(body, inline_tag, anchored_tag, stores or [], replication)
+    except ReplicationUnsatisfiable as exc:
+        raise RecordTooLarge(f"record is {len(body)} bytes and {exc}") from exc
     tx = wallet.create_tx(
         [TxOutput(0, PayToKeyHash(wallet.key_digest), data)],
         fee=sim.config.default_fee,

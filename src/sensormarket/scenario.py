@@ -65,6 +65,19 @@ def load_scenario(path: str | Path) -> Scenario:
     return parse_scenario(text)
 
 
+# The fields each step op always reads; an op not named here is unknown.
+STEP_FIELDS = {
+    "register_sensor": "actor", "update_record": "actor name", "purchase": "actor sensor",
+    "transfer": "from to amount", "open_channel": "actor sensor deposit expiry_height",
+    "subscribe": "channel rate interval count", "close_channel": "channel",
+    "refund_channel": "channel", "fund_escrow": "buyer seller mediator amount",
+    "escrow_release": "escrow signers destination", "make_pledge": "actor amount",
+    "assemble_assurance": "entrepreneur", "set_fact": "oracle fact value",
+    "create_bet": "party_a party_b oracle stake expression_a expression_b",
+    "tamper_store": "store",
+}
+
+
 def parse_scenario(text: str) -> Scenario:
     try:
         doc = json.loads(text)
@@ -87,6 +100,8 @@ def parse_scenario(text: str) -> Scenario:
         raise ParseError("every step's 'at' must be a number") from None
     if times != sorted(times):
         raise ParseError("step times must be non-decreasing")
+    if times and times[0] < 0:
+        raise ParseError("step times must not be negative")
     for step in doc["steps"]:
         for role in ("actor", "buyer", "seller", "mediator", "from", "to",
                      "oracle", "party_a", "party_b", "entrepreneur"):
@@ -100,8 +115,20 @@ def parse_scenario(text: str) -> Scenario:
         amounts = funding if isinstance(funding, list) else [funding]
         if not all(isinstance(amount, (int, float)) for amount in amounts):
             raise ParseError(f"actor {actor['id']!r} has a non-numeric 'funding'")
+        for key in ("node", "price", "confirmations", "replication", "store_id"):
+            try:
+                int(actor.get(key, 0))
+            except (TypeError, ValueError, OverflowError):
+                raise ParseError(f"actor {actor['id']!r} has a non-integer {key!r}") from None
     if any("op" not in step for step in doc["steps"]):
         raise ParseError("every step needs an 'op'")
+    for step in doc["steps"]:
+        op = step["op"]
+        if not isinstance(op, str) or op not in STEP_FIELDS:
+            raise ParseError(f"unknown step op {op!r}")
+        for key in STEP_FIELDS[op].split():
+            if key not in step:
+                raise ParseError(f"step {op!r} is missing {key!r}")
     try:
         horizon_s = float(doc.get("horizon_s", 18000))
     except (TypeError, ValueError):
@@ -254,7 +281,7 @@ class ScenarioRun:
             self.sim.schedule(
                 float(step.get("at", 0)),
                 f"step:{step['op']}",
-                lambda s=step: self._run_step(s),
+                lambda s=step: getattr(self, f"_step_{s['op']}")(s),
             )
 
     @staticmethod
@@ -266,12 +293,6 @@ class ScenarioRun:
             pass
 
     # --- step dispatch ------------------------------------------------------
-
-    def _run_step(self, step: dict) -> None:
-        handler = getattr(self, f"_step_{step['op']}", None)
-        if handler is None:
-            raise ParseError(f"unknown step op {step['op']!r}")
-        handler(step)
 
     def _step_register_sensor(self, step: dict) -> None:
         actor = self._actors[step["actor"]]

@@ -20,24 +20,26 @@ from .ledger import (
     TxInput,
     TxOutput,
     Witness,
+    outputs_paying,
     sighash,
     txid,
 )
 from .simnet import Node
 
 
-def sign_inputs(tx: Transaction, keypair: crypto.KeyPair,
+def sign_inputs(tx: Transaction, *keypairs: crypto.KeyPair,
                 indices: Optional[list[int]] = None) -> Transaction:
-    """Attach (pubkey, signature) witnesses for the given input indices,
-    keeping each input's oracle signature: the one signer of every spend."""
+    """Attach each key pair's (pubkey, signature) witness, in order, to the given
+    input indices, keeping each input's oracle signature: the one signer of every spend."""
     if indices is None:
         indices = list(range(len(tx.inputs)))
     inputs = list(tx.inputs)
     for i in indices:
-        sig = crypto.sign(keypair, sighash(tx, i))
+        message = sighash(tx, i)
         old = inputs[i]
         witness = Witness(
-            signatures=old.witness.signatures + ((keypair.public_key, sig),),
+            signatures=old.witness.signatures
+            + tuple((kp.public_key, crypto.sign(kp, message)) for kp in keypairs),
             oracle_signature=old.witness.oracle_signature,
         )
         inputs[i] = TxInput(old.prev_txid, old.prev_index, witness, old.anyone_can_pay)
@@ -70,12 +72,8 @@ class Wallet:
             for inp in tx.inputs:
                 self.utxos.pop(inp.outpoint, None)
             tid = txid(tx)
-            for i, out in enumerate(tx.outputs):
-                if (
-                    isinstance(out.predicate, PayToKeyHash)
-                    and out.predicate.key_digest == self.key_digest
-                ):
-                    self.utxos.setdefault((tid, i), out.value)
+            for i, out in outputs_paying(tx, self.key_digest):
+                self.utxos.setdefault((tid, i), out.value)
 
     def _select_coins(self, needed: int) -> list[tuple[tuple[bytes, int], int]]:
         picked = []

@@ -3,13 +3,15 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sensormarket import crypto
-from sensormarket.datastore import Anchor, Store, fetch, store, verify_anchor
+from sensormarket import crypto, payload as payload_tags
+from sensormarket.datastore import Anchor, Store, fetch, seal, store, unseal, verify_anchor
 from sensormarket.errors import (
     AllReplicasBadOrMissing,
+    AnchorMismatch,
     MalformedTx,
     ReplicationUnsatisfiable,
 )
+from sensormarket.ledger import MAX_PAYLOAD
 
 
 def stores(n, byzantine=()):
@@ -127,3 +129,52 @@ def test_random_mutations_never_verify(content, mutation):
     assert verify_anchor(content, anchor)
     if mutated != content:
         assert not verify_anchor(mutated, anchor)
+
+
+# --- the payload codec ------------------------------------------------------
+
+TAG_PAIRS = [
+    (payload_tags.DATUM_INLINE, payload_tags.DATUM_ANCHORED),
+    (payload_tags.REGISTRY_REGISTER, payload_tags.REGISTRY_REGISTER_ANCHORED),
+    (payload_tags.REGISTRY_UPDATE, payload_tags.REGISTRY_UPDATE_ANCHORED),
+]
+# Lengths on both sides of the inline limit (MAX_PAYLOAD - 1 bytes) and beyond.
+CONTENT = st.one_of(
+    st.binary(min_size=MAX_PAYLOAD - 3, max_size=MAX_PAYLOAD + 2),
+    st.binary(max_size=3 * MAX_PAYLOAD),
+)
+
+
+@pytest.mark.parametrize("tags", TAG_PAIRS)
+@settings(max_examples=150, deadline=None)
+@given(content=CONTENT, n_stores=st.integers(0, 4), replication=st.integers(1, 3))
+def test_seal_then_unseal_gives_the_content(tags, content, n_stores, replication):
+    inline_tag, anchored_tag = tags
+    slist = stores(n_stores)
+    inline = 1 + len(content) <= MAX_PAYLOAD
+    if not inline and replication > n_stores:
+        with pytest.raises(ReplicationUnsatisfiable):
+            seal(content, inline_tag, anchored_tag, slist, replication)
+        assert all(not s.blobs for s in slist)
+        return
+    payload = seal(content, inline_tag, anchored_tag, slist, replication)
+    assert len(payload) <= MAX_PAYLOAD
+    if inline:
+        assert payload == bytes([inline_tag]) + content
+        assert all(not s.blobs for s in slist)
+    else:
+        anchor = Anchor(crypto.digest(content), tuple(range(replication)))
+        assert payload == bytes([anchored_tag]) + anchor.serialize()
+    assert unseal(payload, by_id(slist)) == content
+
+
+@pytest.mark.parametrize("tags", TAG_PAIRS)
+@settings(max_examples=50, deadline=None)
+@given(content=st.binary(min_size=MAX_PAYLOAD, max_size=200), replication=st.integers(1, 3))
+def test_unseal_with_every_replica_bad_is_an_anchor_mismatch(tags, content, replication):
+    slist = stores(3, byzantine={0, 1, 2})
+    payload = seal(content, *tags, slist, replication)
+    tampered = []
+    with pytest.raises(AnchorMismatch):
+        unseal(payload, by_id(slist), on_tamper=tampered.append)
+    assert tampered == list(range(replication))

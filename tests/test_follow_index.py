@@ -18,10 +18,16 @@ from sensormarket.exchange import (
     RequesterActor,
     SensorActor,
     _Request,
-    _first_witness_key,
-    _paying_outputs,
 )
-from sensormarket.ledger import PayToKeyHash, Transaction, TxInput, TxOutput, txid
+from sensormarket.ledger import (
+    PayToKeyHash,
+    Transaction,
+    TxInput,
+    TxOutput,
+    first_signer,
+    outputs_paying,
+    txid,
+)
 from sensormarket.wallet import Wallet, sign_inputs
 
 from conftest import make_keypair, make_sim, next_block, seed_bytes
@@ -58,12 +64,12 @@ class RescanSensor(SensorActor):
             tid = txid(tx)
             if tid in self.handled:
                 continue
-            payer_key = _first_witness_key(tx)
+            payer_key = first_signer(tx)
             if payer_key is None or crypto.key_digest(payer_key) == self.wallet.key_digest:
                 continue
             if not self._is_plain_payment(tx):
                 continue
-            amount = sum(out.value for _, out in _paying_outputs(tx, self.wallet.key_digest))
+            amount = sum(out.value for _, out in outputs_paying(tx, self.wallet.key_digest))
             if amount == 0:
                 continue
             if amount < self.price_per_datum:
@@ -142,7 +148,7 @@ class Market:
         )
         tx = Transaction(tuple(TxInput(*op) for op in picks), outputs)
         for kp in dict.fromkeys(owners):
-            tx = sign_inputs(tx, kp, [i for i, owner in enumerate(owners) if owner is kp])
+            tx = sign_inputs(tx, kp, indices=[i for i, owner in enumerate(owners) if owner is kp])
         for i, (value, k) in enumerate(zip(values, to)):
             self.coins[(txid(tx), i)] = (value, KEYS[k])
         self.pending.append((tx, fee))

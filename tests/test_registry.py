@@ -192,3 +192,13 @@ def test_oversized_record_uses_datastore_anchor():
     # A registry without datastore access cannot resolve the anchor.
     with pytest.raises(UnknownName):
         registry_plain.lookup("verbose")
+
+
+def test_oversized_record_with_fewer_stores_than_replication_is_too_large():
+    sim, _, kps, wallets = registry_setup()
+    stores = [Store(0)]
+    big = record_for(kps[0], "verbose", endpoint="x" * 120)
+    with pytest.raises(RecordTooLarge, match="replication 2 exceeds 1 stores"):
+        register_sensor(sim, sim.nodes[0], wallets[0], big, stores=stores, replication=2)
+    assert stores[0].blobs == {}
+    assert wallets[0].balance == 10_000  # nothing was built or broadcast

@@ -38,10 +38,13 @@ def test_parse_error_reports_position():
     assert "line 1" in str(exc.value)
 
 
+TRANSFER = {"at": 0, "op": "transfer", "from": "a", "to": "a", "amount": 1}
+
+
 def _doc(**fields):
     """A minimal well-formed scenario document with ``fields`` replaced."""
     doc = {"name": "x", "actors": [{"id": "a", "kind": "requester"}],
-           "steps": [{"at": 0, "op": "transfer"}]}
+           "steps": [TRANSFER]}
     return json.dumps({**doc, **fields})
 
 
@@ -63,6 +66,12 @@ def test_parse_rejects_structural_problems():
          "non-numeric 'funding'"),
         (_doc(horizon_s=-5), "'horizon_s' must not be negative"),
         (_doc(config={"num_nodes": 0}), "bad config: need at least one node"),
+        (_doc(steps=[{**TRANSFER, "at": -5}]), "step times must not be negative"),
+        (_doc(actors=[{"id": "a", "kind": "requester", "node": "x"}]),
+         "actor 'a' has a non-integer 'node'"),
+        (_doc(steps=[{**TRANSFER, "op": "teleport"}]), "unknown step op 'teleport'"),
+        (_doc(steps=[{k: v for k, v in TRANSFER.items() if k != "amount"}]),
+         "step 'transfer' is missing 'amount'"),
     ]
     for text, message in cases:
         with pytest.raises(ParseError, match=message):
@@ -109,6 +118,29 @@ def test_chain_dump_is_lossless():
         assert doc["hash"] == block_hash(restored).hex()
         assert doc["prev"] == prev
         prev = doc["hash"]
+
+
+@pytest.mark.parametrize("store_actors", [[], [{"id": "s0", "kind": "store"}]])
+def test_sensor_that_cannot_seal_its_datum_does_not_end_the_run(store_actors):
+    # A 70-character datum is anchored, and there are fewer stores than its replication.
+    doc = {
+        "name": "unsealable",
+        "actors": [
+            {"id": "pm25", "kind": "sensor", "funding": 1000, "datum": "x" * 70,
+             "replication": len(store_actors) + 1},
+            {"id": "alice", "kind": "requester", "funding": 1000},
+            *store_actors,
+        ],
+        "steps": [{"at": 0, "op": "register_sensor", "actor": "pm25"},
+                  {"at": 0, "op": "purchase", "actor": "alice", "sensor": "pm25"}],
+    }
+    run = ScenarioRun(parse_scenario(json.dumps(doc)))
+    report = run.execute()
+    assert report["exchanges"] == {"fulfilled": 0, "outstanding": 1, "rows": []}
+    [event] = [e for e in report["events"] if e["kind"] == "sensor_unfulfillable"]
+    assert event["sensor"] == "pm25"
+    assert "exceeds" in event["error"]
+    assert all(not a.store.blobs for a in run._actors.values() if a.store is not None)
 
 
 def test_registry_dump_lists_records():

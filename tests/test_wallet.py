@@ -3,8 +3,16 @@
 import pytest
 
 from sensormarket.errors import InsufficientFunds
-from sensormarket.ledger import PayToKeyHash, TxOutput, txid
-from sensormarket.wallet import Wallet
+from sensormarket.ledger import (
+    PayToKeyHash,
+    Transaction,
+    TxInput,
+    TxOutput,
+    Witness,
+    serialize_tx,
+    txid,
+)
+from sensormarket.wallet import Wallet, sign_inputs
 
 from conftest import make_keypair, make_sim, run_blocks
 
@@ -70,3 +78,24 @@ def test_wallet_on_existing_chain_scans_history():
     run_blocks(sim, 2)
     late = Wallet(other, sim.nodes[0])
     assert late.balance == 2_500
+
+
+def test_one_call_with_two_signers_equals_chained_calls():
+    a, b = make_keypair(0), make_keypair(1)
+
+    def unsigned():  # a fresh tx each time, so neither path sees the other's memo
+        return Transaction(
+            inputs=(
+                TxInput(b"\x01" * 32, 0, Witness(oracle_signature=b"o" * 64)),
+                TxInput(b"\x02" * 32, 1),
+                TxInput(b"\x03" * 32, 2, anyone_can_pay=True),
+            ),
+            outputs=(TxOutput(5, PayToKeyHash(a.key_digest)),),
+        )
+
+    chained = sign_inputs(sign_inputs(unsigned(), a), b)
+    once = sign_inputs(unsigned(), a, b)
+    assert serialize_tx(once) == serialize_tx(chained)
+    assert vars(once)["_sighash_all"] == vars(chained)["_sighash_all"]
+    assert [[pk for pk, _ in inp.witness.signatures] for inp in once.inputs] == [
+        [a.public_key, b.public_key]] * 3
