@@ -21,6 +21,7 @@ from . import crypto
 from .errors import (
     AlreadyClosed,
     CounterpartyRefused,
+    ExpiryPassed,
     InsufficientChannelBalance,
     StaleSequence,
     TimelockNotExpired,
@@ -61,7 +62,7 @@ class Channel:
         datum_source: Optional[Callable[[float], bytes]] = None,
     ):
         if expiry_height <= sim.chain.height:
-            raise ValueError("expiry height must lie in the future")
+            raise ExpiryPassed("expiry height must lie in the future")
         self.sim = sim
         self.node = node
         self.funder_wallet = funder_wallet

@@ -172,6 +172,17 @@ def assemble_assurance(
 
 _EXPR_RE = re.compile(r"^\s*(\w+)\s*(<=|>=|==|<|>)\s*(-?\d+(?:\.\d+)?)\s*$")
 
+
+def parse_expression(text: str) -> tuple[str, str, float]:
+    """``(fact, op, number)`` of an oracle expression ``<fact> <op> <number>``;
+    ValueError when ``text`` does not follow that grammar."""
+    m = _EXPR_RE.match(text)
+    if m is None:
+        raise ValueError(f"expression {text!r} is not '<fact> <op> <number>'")
+    fact, op, number = m.groups()
+    return fact, op, float(number)
+
+
 _OPS = {
     "<": lambda a, b: a < b,
     "<=": lambda a, b: a <= b,
@@ -194,11 +205,7 @@ class OracleService:
         return self.keypair.public_key
 
     def register_expression(self, expression_id: str, text: str) -> None:
-        m = _EXPR_RE.match(text)
-        if m is None:
-            raise ValueError(f"expression {text!r} is not '<fact> <op> <number>'")
-        fact, op, number = m.groups()
-        self.expressions[expression_id] = (fact, op, float(number))
+        self.expressions[expression_id] = parse_expression(text)
 
     def set_fact(self, name: str, value: float) -> None:
         self.facts[name] = value

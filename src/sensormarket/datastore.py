@@ -36,7 +36,7 @@ class Store:
 
     def tamper(self, blob_id: bytes, position: int = 0) -> None:
         content = self.blobs.get(blob_id)
-        if content:
+        if content and 0 <= position < len(content):  # else there is no byte to flip
             self.blobs[blob_id] = (
                 content[:position]
                 + bytes([content[position] ^ 0xFF])

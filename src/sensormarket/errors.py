@@ -96,6 +96,11 @@ class CounterpartyRefused(SensorMarketError):
     pass
 
 
+class ExpiryPassed(SensorMarketError, ValueError):
+    """A channel opened at or past its own expiry height: a bad argument, so
+    also a ValueError."""
+
+
 # --- contracts --------------------------------------------------------------
 
 class InsufficientPledges(SensorMarketError):

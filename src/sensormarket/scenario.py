@@ -11,6 +11,15 @@ A scenario is a JSON document:
       "assertions": [{"path": "exchanges.fulfilled", "equals": 1}, ...]
     }
 
+``ACTOR_FIELDS`` and ``OP_FIELDS`` (with ``DOC_FIELDS`` and
+``ASSERTION_FIELDS`` for the document and its assertions) are the one place a
+field's type is defined: each field with its converter and its default.
+``parse_scenario`` converts every field once, in place, in one pass; it checks
+each actor id against the role its field needs and each channel, escrow or
+campaign id against the steps before it.  A value it cannot take is a
+ParseError naming the actor or step and the field, so the run reads typed
+values only.
+
 Actor key pairs are derived from the scenario name and actor id, so txids are
 stable across RNG seeds; the seed only moves block timing and message delays.
 Assertions address the final report with a dotted path and one of ``equals``,
@@ -20,6 +29,7 @@ Assertions address the final report with a dotted path and one of ``equals``,
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Optional
@@ -49,6 +59,10 @@ from .simnet import Node, SimConfig, Simulation
 
 @dataclass
 class Scenario:
+    """A scenario document as ``parse_scenario`` (or ``load_scenario``) returns
+    it: its actor and step dicts hold the typed values and the defaults the
+    tables wrote into them, which is what ``ScenarioRun`` reads."""
+
     name: str
     config: dict
     horizon_s: float
@@ -65,17 +79,193 @@ def load_scenario(path: str | Path) -> Scenario:
     return parse_scenario(text)
 
 
-# The fields each step op always reads; an op not named here is unknown.
-STEP_FIELDS = {
-    "register_sensor": "actor", "update_record": "actor name", "purchase": "actor sensor",
-    "transfer": "from to amount", "open_channel": "actor sensor deposit expiry_height",
-    "subscribe": "channel rate interval count", "close_channel": "channel",
-    "refund_channel": "channel", "fund_escrow": "buyer seller mediator amount",
-    "escrow_release": "escrow signers destination", "make_pledge": "actor amount",
-    "assemble_assurance": "entrepreneur", "set_fact": "oracle fact value",
-    "create_bet": "party_a party_b oracle stake expression_a expression_b",
-    "tamper_store": "store",
+# --- the schema ---------------------------------------------------------------
+#
+# A converter takes ``(value, where, known)``: a field's value, the dict that
+# holds it, and ``known``, the ids declared so far in each namespace (each actor
+# role, the channels and escrows earlier steps opened, the campaigns they
+# named).  It returns the typed value, or raises TypeError or ValueError.
+
+_REQUIRED = object()  # default of a field that must be given
+_OPTIONAL = object()  # default of a field that may stay absent
+_NAMESPACES = ("actor", "payer", "requester", "oracle", "store", "channel", "escrow")
+
+
+def _convert(where: dict, fields: tuple, known: dict, owner: str = "", *args) -> None:
+    """Convert ``where``'s ``fields`` in place, defaults included; a value no
+    converter takes is a ParseError naming ``owner.format(*args)`` and the field."""
+    for name, convert, default in fields:
+        value = where.get(name, default)
+        if value is _OPTIONAL:
+            continue
+        try:
+            if value is _REQUIRED:
+                raise ValueError("missing")
+            where[name] = convert(value, where, known)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ParseError(f"{owner.format(*args)}bad {name!r}: {exc}") from None
+
+
+def _count(value, where=None, known=None) -> int:
+    value = int(value)
+    if value < 0:
+        raise ValueError(f"{value} is negative")
+    return value
+
+
+def _positive(value, where=None, known=None) -> int:
+    value = int(value)
+    if value < 1:
+        raise ValueError(f"{value} is not positive")
+    return value
+
+
+def _time(value, where=None, known=None) -> float:
+    value = float(value)
+    if not 0 <= value < math.inf:
+        raise ValueError(f"{value} is not a finite number >= 0")
+    return value
+
+
+def _text(value, where=None, known=None) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected str, got {type(value).__name__}")
+    value.encode()  # JSON admits lone surrogates, which UTF-8 cannot encode
+    return value
+
+
+def _object(value, where=None, known=None) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError(f"expected an object, got {type(value).__name__}")
+    return value
+
+
+def _objects(value, where=None, known=None) -> list:
+    if not isinstance(value, list) or not all(isinstance(x, dict) for x in value):
+        raise TypeError("expected a list of objects")
+    return value
+
+
+def _datum(value, where=None, known=None) -> str:
+    if not _text(value):
+        raise ValueError("a datum must not be empty")
+    return value
+
+
+def _funding(value, where=None, known=None):
+    """One amount, or a list of amounts: the actor's genesis outputs."""
+    return [_count(amount) for amount in value] if isinstance(value, list) else _count(value)
+
+
+def _member(namespace: str):
+    def convert(value, where, known):
+        if value not in known[namespace]:
+            raise ValueError(f"{value!r} is not a known {namespace}")
+        return value
+    return convert
+
+
+def _opens(namespace: str):
+    def convert(value, where, known):
+        known[namespace].add(_text(value))
+        return value
+    return convert
+
+
+def _campaign(value, where, known):
+    """A campaign id; the first step that names it carries its terms."""
+    if value not in known["campaign"]:
+        if "entrepreneur" not in where or "goal" not in where:
+            raise ValueError(f"campaign {value!r} needs 'entrepreneur' and 'goal' "
+                             "at its first step")
+        known["campaign"].add(_text(value))
+    return value
+
+
+def _signers(value, where, known) -> list:
+    if not isinstance(value, list) or len(value) != 2:
+        raise ValueError("expected a list of two actors")
+    return [_TYPES["actor"](signer, where, known) for signer in value]
+
+
+def _expression(value, where=None, known=None) -> dict:
+    """``{"id": ..., "text": "<fact> <op> <number>"}``, in the oracle's grammar."""
+    _text(_object(value).get("id"))
+    contracts.parse_expression(_text(value.get("text")))
+    return value
+
+
+_TYPES = {
+    "int": lambda value, where, known: int(value), "count": _count, "positive": _positive,
+    "number": lambda value, where, known: float(value), "time": _time,
+    "text": _text, "datum": _datum,
+    "flag": lambda value, where, known: bool(value), "funding": _funding,
+    "object": _object, "objects": _objects,
+    **{namespace: _member(namespace) for namespace in _NAMESPACES},
+    "new_channel": _opens("channel"), "new_escrow": _opens("escrow"),
+    "campaign": _campaign, "signers": _signers, "expression": _expression,
 }
+
+
+def _roles(actor: dict) -> tuple[str, ...]:
+    """The roles ``ScenarioRun._build`` equips an actor of this kind for: a
+    payer holds a wallet, a requester buys datums."""
+    kind = actor["kind"]
+    if kind == "store":
+        return ("store",)
+    if kind == "oracle":
+        return ("oracle", "payer", "requester") if actor["funding"] else ("oracle",)
+    return ("payer", "requester") if kind == "requester" else ("payer",)
+
+
+def _fields(spec: str) -> tuple:
+    """``"name:type ..."`` as (name, converter, default) triples, the type named in
+    ``_TYPES``.  ``name?:type`` may stay absent; ``name=default:type`` takes
+    ``default``, converted like a given value, when absent."""
+    fields = []
+    for item in spec.split():
+        name, kind = item.split(":")
+        name, has_default, default = name.partition("=")
+        if name.endswith("?"):
+            name, default = name[:-1], _OPTIONAL
+        elif not has_default:
+            default = _REQUIRED
+        fields.append((name, _TYPES[kind], default))
+    return tuple(fields)
+
+
+# The fields of a document, of an actor (its ``id`` also unique), of a step of
+# each op besides ``op`` (``at`` first, which ``parse_scenario`` also keeps in
+# order), and of an assertion.  An op not named is unknown.
+DOC_FIELDS = _fields("name:text actors:objects steps:objects horizon_s=18000:time "
+                     "config?:object assertions?:objects")
+ACTOR_FIELDS = _fields(
+    "id:text kind:text funding=0:funding node=0:int price=100:count confirmations=1:positive "
+    "replication?:positive store_id?:count byzantine?:flag datum=datum:datum "
+    "name?:text data_type?:text endpoint?:text"
+)
+OP_FIELDS = {op: _fields("at=0:time " + spec) for op, spec in {
+    "register_sensor": "actor:payer name?:text data_type?:text price?:count endpoint?:text",
+    "update_record": "actor:payer name:text data_type?:text price?:count endpoint?:text",
+    "purchase": "actor:requester sensor:text amount?:count",
+    "transfer": "from:payer to:actor amount:count",
+    "open_channel": "actor:payer sensor:actor deposit:count expiry_height:positive "
+                    "channel=ch:new_channel",
+    "subscribe": "channel:channel rate:count interval:time count:count",
+    "close_channel": "channel:channel",
+    "refund_channel": "channel:channel",
+    "fund_escrow": "buyer:payer seller:actor mediator:actor amount:count "
+                   "escrow=escrow:new_escrow",
+    "escrow_release": "escrow:escrow signers:signers destination:actor",
+    "make_pledge": "actor:payer amount:positive entrepreneur?:actor goal?:count "
+                   "campaign=campaign:campaign",
+    "assemble_assurance": "entrepreneur:actor goal?:count campaign=campaign:campaign",
+    "set_fact": "oracle:oracle fact:text value:number",
+    "create_bet": "party_a:payer party_b:payer oracle:oracle stake:count "
+                  "expression_a:expression expression_b:expression bet=bet:text",
+    "tamper_store": "store:store position=0:count",
+}.items()}
+ASSERTION_FIELDS = _fields("path:text min?:number max?:number")
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -85,68 +275,35 @@ def parse_scenario(text: str) -> Scenario:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     if not isinstance(doc, dict):
         raise ParseError("scenario document must be a JSON object")
-    for key in ("name", "actors", "steps"):
-        if key not in doc:
-            raise ParseError(f"scenario is missing required key {key!r}")
-    for key in ("actors", "steps"):
-        if not isinstance(doc[key], list) or not all(isinstance(x, dict) for x in doc[key]):
-            raise ParseError(f"{key!r} must be a list of objects")
-    actor_ids = {a.get("id") for a in doc["actors"]}
-    if None in actor_ids or len(actor_ids) != len(doc["actors"]):
-        raise ParseError("every actor needs a unique 'id'")
-    try:
-        times = [float(s.get("at", 0)) for s in doc["steps"]]
-    except (TypeError, ValueError):
-        raise ParseError("every step's 'at' must be a number") from None
-    if times != sorted(times):
-        raise ParseError("step times must be non-decreasing")
-    if times and times[0] < 0:
-        raise ParseError("step times must not be negative")
-    for step in doc["steps"]:
-        for role in ("actor", "buyer", "seller", "mediator", "from", "to",
-                     "oracle", "party_a", "party_b", "entrepreneur"):
-            ref = step.get(role)
-            if ref is not None and ref not in actor_ids:
-                raise ParseError(f"step references undeclared actor {ref!r}")
+    known: dict[str, set] = {namespace: set() for namespace in _NAMESPACES + ("campaign",)}
+    _convert(doc, DOC_FIELDS, known)
+    ids = [actor.get("id") for actor in doc["actors"]]
+    if not all(isinstance(i, str) for i in ids) or len(set(ids)) != len(ids):
+        raise ParseError("every actor needs a unique 'id' (a string)")
+    known["actor"].update(ids)
     for actor in doc["actors"]:
-        if "kind" not in actor:
-            raise ParseError(f"actor {actor['id']!r} has no 'kind'")
-        funding = actor.get("funding", 0)
-        amounts = funding if isinstance(funding, list) else [funding]
-        if not all(isinstance(amount, (int, float)) for amount in amounts):
-            raise ParseError(f"actor {actor['id']!r} has a non-numeric 'funding'")
-        for key in ("node", "price", "confirmations", "replication", "store_id"):
-            try:
-                int(actor.get(key, 0))
-            except (TypeError, ValueError, OverflowError):
-                raise ParseError(f"actor {actor['id']!r} has a non-integer {key!r}") from None
-    if any("op" not in step for step in doc["steps"]):
-        raise ParseError("every step needs an 'op'")
-    for step in doc["steps"]:
-        op = step["op"]
-        if not isinstance(op, str) or op not in STEP_FIELDS:
-            raise ParseError(f"unknown step op {op!r}")
-        for key in STEP_FIELDS[op].split():
-            if key not in step:
-                raise ParseError(f"step {op!r} is missing {key!r}")
-    try:
-        horizon_s = float(doc.get("horizon_s", 18000))
-    except (TypeError, ValueError):
-        raise ParseError("'horizon_s' must be a number") from None
-    if horizon_s < 0:
-        raise ParseError("'horizon_s' must not be negative")
+        _convert(actor, ACTOR_FIELDS, known, "actor {!r}: ", actor["id"])
+        for role in _roles(actor):
+            known[role].add(actor["id"])
+    clock = 0.0
+    for i, step in enumerate(doc["steps"]):
+        op = step.get("op")
+        try:
+            fields = OP_FIELDS[op]
+        except (KeyError, TypeError):
+            raise ParseError(f"step {i}: unknown step op {op!r}" if "op" in step
+                             else f"step {i} needs an 'op'") from None
+        _convert(step, fields, known, "step {} {!r}: ", i, op)
+        if step["at"] < clock:
+            raise ParseError(f"step {i} {op!r}: step times must be non-decreasing")
+        clock = step["at"]
+    assertions = doc.get("assertions", [])
+    for i, spec in enumerate(assertions):
+        _convert(spec, ASSERTION_FIELDS, known, "assertion {}: ", i)
     config = doc.get("config", {})
-    if not isinstance(config, dict):
-        raise ParseError("'config' must be an object")
     _sim_config(config)  # a value SimConfig refuses fails here, not at run time
-    return Scenario(
-        name=doc["name"],
-        config=config,
-        horizon_s=horizon_s,
-        actors=doc["actors"],
-        steps=doc["steps"],
-        assertions=doc.get("assertions", []),
-    )
+    return Scenario(doc["name"], config, doc["horizon_s"], doc["actors"], doc["steps"],
+                    assertions)
 
 
 def _sim_config(cfg_doc: dict) -> SimConfig:
@@ -161,7 +318,7 @@ def _sim_config(cfg_doc: dict) -> SimConfig:
             num_nodes=int(cfg_doc.get("num_nodes", 2)),
             default_fee=int(cfg_doc.get("default_fee", 50)),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad config: {exc}") from exc
 
 
@@ -208,20 +365,19 @@ class ScenarioRun:
         }
         outputs = []
         for a in self.scenario.actors:
-            funding = a.get("funding", 0)
-            amounts = funding if isinstance(funding, list) else [funding]
-            for amount in amounts:
+            funding = a["funding"]
+            for amount in funding if isinstance(funding, list) else [funding]:
                 if amount > 0:
                     outputs.append(
-                        TxOutput(int(amount), PayToKeyHash(keypairs[a["id"]].key_digest))
+                        TxOutput(amount, PayToKeyHash(keypairs[a["id"]].key_digest))
                     )
         genesis = (Transaction(inputs=(), outputs=tuple(outputs)),) if outputs else ()
         self.sim = Simulation(config, genesis)
 
         stores = [
             datastore.Store(
-                store_id=int(a.get("store_id", i)),
-                byzantine=bool(a.get("byzantine", False)),
+                store_id=a.get("store_id", i),
+                byzantine=a.get("byzantine", False),
             )
             for i, a in enumerate(self.scenario.actors)
             if a["kind"] == "store"
@@ -234,27 +390,26 @@ class ScenarioRun:
         from .wallet import Wallet
 
         for a in self.scenario.actors:
-            node = self.sim.nodes[int(a.get("node", 0)) % len(self.sim.nodes)]
+            node = self.sim.nodes[a["node"] % len(self.sim.nodes)]
             actor = _Actor(a["id"], a["kind"], keypairs[a["id"]], node, a)
             if a["kind"] == "store":
                 actor.store = next(store_iter)
             elif a["kind"] == "sensor":
-                datum = a.get("datum", "datum")
                 actor.sensor = SensorActor(
                     self.sim,
                     node,
                     actor.keypair,
-                    price_per_datum=int(a.get("price", 100)),
-                    datum_source=lambda t, d=datum: d.encode(),
-                    confirmation_depth=int(a.get("confirmations", 1)),
+                    price_per_datum=a["price"],
+                    datum_source=lambda t, d=a["datum"]: d.encode(),
+                    confirmation_depth=a["confirmations"],
                     stores=stores,
-                    replication=int(a.get("replication", min(2, max(1, len(stores))))),
+                    replication=a.get("replication", min(2, max(1, len(stores)))),
                     actor_id=a["id"],
                 )
                 actor.wallet = actor.sensor.wallet
             elif a["kind"] == "oracle":
                 actor.oracle = contracts.OracleService(actor.keypair)
-                if a.get("funding"):
+                if a["funding"]:
                     actor.requester = RequesterActor(
                         self.sim, node, actor.keypair,
                         stores=stores, actor_id=a["id"],
@@ -267,7 +422,7 @@ class ScenarioRun:
             elif a["kind"] == "requester":
                 actor.requester = RequesterActor(
                     self.sim, node, actor.keypair,
-                    confirmation_depth=int(a.get("confirmations", 1)),
+                    confirmation_depth=a["confirmations"],
                     stores=stores, actor_id=a["id"],
                 )
                 actor.wallet = actor.requester.wallet
@@ -279,7 +434,7 @@ class ScenarioRun:
 
         for step in self.scenario.steps:
             self.sim.schedule(
-                float(step.get("at", 0)),
+                step["at"],
                 f"step:{step['op']}",
                 lambda s=step: getattr(self, f"_step_{s['op']}")(s),
             )
@@ -302,7 +457,7 @@ class ScenarioRun:
             owner_key_digest=actor.keypair.key_digest,
             payment_digest=actor.keypair.key_digest,
             data_type=step.get("data_type", spec.get("data_type", "generic")),
-            price_per_datum=int(step.get("price", spec.get("price", 100))),
+            price_per_datum=step.get("price", spec["price"]),
             endpoint=step.get("endpoint", spec.get("endpoint", "inline")),
         )
         registry_mod.register_sensor(self.sim, actor.node, actor.wallet, record)
@@ -315,7 +470,7 @@ class ScenarioRun:
             owner_key_digest=current.owner_key_digest,
             payment_digest=current.payment_digest,
             data_type=step.get("data_type", current.data_type),
-            price_per_datum=int(step.get("price", current.price_per_datum)),
+            price_per_datum=step.get("price", current.price_per_datum),
             endpoint=step.get("endpoint", current.endpoint),
         )
         registry_mod.update_record(self.sim, actor.node, actor.wallet, record)
@@ -323,7 +478,6 @@ class ScenarioRun:
     def _step_purchase(self, step: dict) -> None:
         actor = self._actors[step["actor"]]
         name = step["sensor"]
-        amount = step.get("amount")
 
         def attempt() -> bool:
             try:
@@ -331,9 +485,7 @@ class ScenarioRun:
             except UnknownName:
                 return False
             actor.requester.initiate_purchase(
-                record.payment_digest,
-                record.price_per_datum,
-                amount=int(amount) if amount is not None else None,
+                record.payment_digest, record.price_per_datum, amount=step.get("amount")
             )
             return True
 
@@ -343,32 +495,29 @@ class ScenarioRun:
         src = self._actors[step["from"]]
         dst = self._actors[step["to"]]
         tx = src.wallet.pay(
-            dst.keypair.key_digest, int(step["amount"]), self.sim.config.default_fee
+            dst.keypair.key_digest, step["amount"], self.sim.config.default_fee
         )
         self.sim.broadcast(tx, src.node)
 
     def _step_open_channel(self, step: dict) -> None:
         funder = self._actors[step["actor"]]
         sensor = self._actors[step["sensor"]]
-        datum = sensor.spec.get("datum", "datum")
         channel = Channel(
             self.sim,
             funder.node,
             funder.wallet,
             funder.keypair,
             sensor.keypair,
-            deposit=int(step["deposit"]),
-            expiry_height=int(step["expiry_height"]),
-            datum_source=lambda t, d=datum: d.encode(),
+            deposit=step["deposit"],
+            expiry_height=step["expiry_height"],
+            datum_source=lambda t, d=sensor.spec["datum"]: d.encode(),
         )
-        self._channels[step.get("channel", "ch")] = channel
+        self._channels[step["channel"]] = channel
 
     def _step_subscribe(self, step: dict) -> None:
         channel = self._channels[step["channel"]]
-        rate = int(step["rate"])
-        interval = float(step["interval"])
-        count = int(step["count"])
-        for i in range(count):
+        rate, interval = step["rate"], step["interval"]
+        for i in range(step["count"]):
             self.sim.schedule(
                 self.sim.clock + i * interval,
                 "channel_pay",
@@ -392,9 +541,9 @@ class ScenarioRun:
             buyer.keypair.public_key,
             seller.keypair.public_key,
             mediator.keypair.public_key,
-            int(step["amount"]),
+            step["amount"],
         )
-        self._escrows[step.get("escrow", "escrow")] = agreement
+        self._escrows[step["escrow"]] = agreement
 
     def _step_escrow_release(self, step: dict) -> None:
         agreement = self._escrows[step["escrow"]]
@@ -413,13 +562,13 @@ class ScenarioRun:
         node.when_confirmed(agreement.outpoint[0], 1, release)
 
     def _campaign(self, step: dict) -> contracts.Campaign:
-        campaign_id = step.get("campaign", "campaign")
+        campaign_id = step["campaign"]
         entry = self._campaigns.get(campaign_id)
         if entry is None:
             entrepreneur = self._actors[step["entrepreneur"]]
             entry = {
                 "campaign": contracts.Campaign(
-                    entrepreneur.keypair.key_digest, int(step["goal"])
+                    entrepreneur.keypair.key_digest, step["goal"]
                 ),
                 "status": "open",
                 "pledged": 0,
@@ -430,16 +579,14 @@ class ScenarioRun:
 
     def _step_make_pledge(self, step: dict) -> None:
         campaign = self._campaign(step)
-        campaign_id = step.get("campaign", "campaign")
+        campaign_id = step["campaign"]
         actor = self._actors[step["actor"]]
-        pledge = contracts.make_pledge(
-            actor.wallet, actor.keypair, campaign, int(step["amount"])
-        )
+        pledge = contracts.make_pledge(actor.wallet, actor.keypair, campaign, step["amount"])
         self._pledges[campaign_id].append(pledge)
         self._campaigns[campaign_id]["pledged"] += pledge.amount
 
     def _step_assemble_assurance(self, step: dict) -> None:
-        campaign_id = step.get("campaign", "campaign")
+        campaign_id = step["campaign"]
         campaign = self._campaign(step)
         entry = self._campaigns[campaign_id]
         entrepreneur = self._actors[step["entrepreneur"]]
@@ -457,7 +604,7 @@ class ScenarioRun:
 
     def _step_set_fact(self, step: dict) -> None:
         oracle = self._actors[step["oracle"]].oracle
-        oracle.set_fact(step["fact"], float(step["value"]))
+        oracle.set_fact(step["fact"], step["value"])
 
     def _step_create_bet(self, step: dict) -> None:
         party_a = self._actors[step["party_a"]]
@@ -473,12 +620,12 @@ class ScenarioRun:
             party_a.node,
             (party_a.wallet, party_a.keypair),
             (party_b.wallet, party_b.keypair),
-            int(step["stake"]),
+            step["stake"],
             oracle,
             expr_a["id"],
             expr_b["id"],
         )
-        self._bets[step.get("bet", "bet")] = bet
+        self._bets[step["bet"]] = bet
         party_a.node.retry(lambda: bet.maybe_settle() is not None)
 
     def _step_tamper_store(self, step: dict) -> None:
@@ -488,7 +635,7 @@ class ScenarioRun:
             if not store.blobs:
                 return False
             for blob_id in list(store.blobs):
-                store.tamper(blob_id, int(step.get("position", 0)))
+                store.tamper(blob_id, step["position"])
             return True
 
         self.sim.nodes[0].retry(attempt)
@@ -534,7 +681,7 @@ class ScenarioRun:
                         "latency_blocks": d.latency_blocks,
                         "latency_s": d.delivery_time - d.request_time,
                         "plaintext": d.plaintext.decode(errors="replace"),
-                        "onchain_txs": int(payment_conf) + int(delivery_conf),
+                        "onchain_txs": payment_conf + delivery_conf,
                         "outcome": "fulfilled",
                     }
                 )
@@ -639,10 +786,11 @@ def evaluate_assertions(report: dict, assertions: list[dict]) -> list[dict]:
         ok = True
         if "equals" in spec:
             ok = ok and value == spec["equals"]
+        number = isinstance(value, (int, float))
         if "min" in spec:
-            ok = ok and value is not None and value >= spec["min"]
+            ok = ok and number and value >= spec["min"]
         if "max" in spec:
-            ok = ok and value is not None and value <= spec["max"]
+            ok = ok and number and value <= spec["max"]
         if spec.get("nonempty"):
             ok = ok and bool(value)
         results.append({"path": spec["path"], "ok": ok, "actual": value})

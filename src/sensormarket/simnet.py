@@ -33,8 +33,10 @@ class SimConfig:
     default_fee: int = 50  # flat voluntary fee actors attach per transaction
 
     def __post_init__(self) -> None:
-        if self.mean_block_interval_s <= 0:
-            raise ValueError("mean_block_interval_s must be positive")
+        if not 0 <= self.rng_seed < 2**64:  # Simulation.rng packs it in 8 bytes
+            raise ValueError("rng_seed must lie in [0, 2**64)")
+        if not 0 < self.mean_block_interval_s < float("inf"):
+            raise ValueError("mean_block_interval_s must be positive and finite")
         if self.propagation_delay_s < 0:
             raise ValueError("propagation delay must be non-negative")
         if self.num_nodes < 1:

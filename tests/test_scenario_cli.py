@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sensormarket.cli import bundled_scenarios, main
 from sensormarket.errors import ParseError
@@ -50,28 +51,79 @@ def _doc(**fields):
 
 def test_parse_rejects_structural_problems():
     # Each document trips the rule its message names.
+    requester = {"id": "a", "kind": "requester"}
+    oracle = {"id": "o", "kind": "oracle"}
+    store = {"id": "s", "kind": "store"}
+    open_ch = {"at": 0, "op": "open_channel", "actor": "a", "sensor": "a",
+               "deposit": 10, "expiry_height": 5}
+    escrow = {"at": 0, "op": "fund_escrow", "buyer": "a", "seller": "a",
+              "mediator": "a", "amount": 10}
+    release = {"at": 0, "op": "escrow_release", "escrow": "escrow", "signers": ["a", "a"],
+               "destination": "a"}
+    pledge = {"at": 0, "op": "make_pledge", "actor": "a", "amount": 5,
+              "entrepreneur": "a", "goal": 10}
+    expr = {"id": "wet", "text": "rain_mm > 10"}
+    bet = {"at": 0, "op": "create_bet", "party_a": "a", "party_b": "a", "oracle": "o",
+           "stake": 5, "expression_a": expr, "expression_b": expr}
     cases = [
         ('["not", "an", "object"]', "must be a JSON object"),
-        ('{"actors": [], "steps": []}', "missing required key 'name'"),
+        ('{"actors": [], "steps": []}', "bad 'name': missing"),
         (_doc(actors=[{"id": "a"}, {"id": "a"}]), "unique 'id'"),
-        (_doc(steps=[{"at": 5, "op": "transfer"}, {"at": 1, "op": "transfer"}]),
-         "non-decreasing"),
-        (_doc(steps=[{"at": 0, "op": "transfer", "actor": "ghost"}]), "undeclared actor"),
-        (_doc(actors=[1]), "'actors' must be a list of objects"),
-        (_doc(steps=5), "'steps' must be a list of objects"),
-        (_doc(steps=[{"at": "soon", "op": "transfer"}]), "'at' must be a number"),
+        (_doc(steps=[{**TRANSFER, "at": 5}, {**TRANSFER, "at": 1}]), "non-decreasing"),
+        (_doc(steps=[{**TRANSFER, "to": "ghost"}]), "bad 'to': 'ghost' is not a known actor"),
+        (_doc(actors=[1]), "bad 'actors': expected a list of objects"),
+        (_doc(steps=5), "bad 'steps': expected a list of objects"),
+        (_doc(steps=[{"at": "soon", "op": "transfer"}]), "step 0 'transfer': bad 'at'"),
         (_doc(steps=[{"at": 0}]), "needs an 'op'"),
-        (_doc(actors=[{"id": "a"}]), "has no 'kind'"),
-        (_doc(actors=[{"id": "a", "kind": "requester", "funding": "lots"}]),
-         "non-numeric 'funding'"),
-        (_doc(horizon_s=-5), "'horizon_s' must not be negative"),
+        (_doc(actors=[{"id": "a"}]), "actor 'a': bad 'kind': missing"),
+        (_doc(actors=[{**requester, "funding": "lots"}]), "actor 'a': bad 'funding'"),
+        (_doc(horizon_s=-5), "bad 'horizon_s'"),
         (_doc(config={"num_nodes": 0}), "bad config: need at least one node"),
-        (_doc(steps=[{**TRANSFER, "at": -5}]), "step times must not be negative"),
-        (_doc(actors=[{"id": "a", "kind": "requester", "node": "x"}]),
-         "actor 'a' has a non-integer 'node'"),
+        (_doc(config={"rng_seed": -1}), "bad config: rng_seed must lie in"),
+        (_doc(config={"rng_seed": 2**64}), "bad config: rng_seed must lie in"),
+        ('{"name": "x", "actors": [], "steps": [], "config": {"mean_block_interval_s": '
+         'Infinity}}', "bad config: mean_block_interval_s must be positive and finite"),
+        (_doc(steps=[{**TRANSFER, "at": -5}]), "step 0 'transfer': bad 'at'"),
+        (_doc(actors=[{**requester, "node": "x"}]), "actor 'a': bad 'node'"),
         (_doc(steps=[{**TRANSFER, "op": "teleport"}]), "unknown step op 'teleport'"),
         (_doc(steps=[{k: v for k, v in TRANSFER.items() if k != "amount"}]),
-         "step 'transfer' is missing 'amount'"),
+         "step 0 'transfer': bad 'amount': missing"),
+        # A value of the wrong type, or out of the op's range.
+        (_doc(steps=[{**TRANSFER, "amount": "x"}]), "step 0 'transfer': bad 'amount'"),
+        (_doc(steps=[{**pledge, "amount": 0}]), "bad 'amount': 0 is not positive"),
+        (_doc(steps=[open_ch, {"at": 0, "op": "subscribe", "channel": "ch", "rate": 1,
+                               "interval": -1, "count": 2}]),
+         "step 1 'subscribe': bad 'interval'"),
+        (_doc(actors=[requester, oracle],
+              steps=[{"at": 0, "op": "set_fact", "oracle": "o", "fact": "t", "value": "hot"}]),
+         "bad 'value'"),
+        (_doc(actors=[requester, oracle],
+              steps=[{**bet, "expression_b": {"id": "dry", "text": "rain_mm >> 10"}}]),
+         "bad 'expression_b'.*is not '<fact> <op> <number>'"),
+        (_doc(actors=[{**requester, "id": "a\ud800"}], steps=[]),
+         "bad 'id'.*surrogates not allowed"),
+        (_doc(assertions=[{"equals": 1}]), "assertion 0: bad 'path': missing"),
+        (_doc(assertions=[{"path": "scenario", "min": "a"}]), "assertion 0: bad 'min'"),
+        # An actor id that is undeclared, or whose kind cannot play the role.
+        (_doc(actors=[requester, store], steps=[{**TRANSFER, "from": "s"}]),
+         "bad 'from': 's' is not a known payer"),
+        (_doc(steps=[{"at": 0, "op": "set_fact", "oracle": "a", "fact": "t", "value": 1}]),
+         "bad 'oracle': 'a' is not a known oracle"),
+        (_doc(steps=[{**open_ch, "sensor": "ghost"}]),
+         "bad 'sensor': 'ghost' is not a known actor"),
+        (_doc(steps=[escrow, {**release, "signers": ["a", "ghost"]}]),
+         "bad 'signers': 'ghost' is not a known actor"),
+        (_doc(steps=[escrow, {**release, "destination": "ghost"}]),
+         "bad 'destination': 'ghost' is not a known actor"),
+        (_doc(steps=[{"at": 0, "op": "tamper_store", "store": "ghost"}]),
+         "bad 'store': 'ghost' is not a known store"),
+        # An id that no earlier step opened, or a campaign started without its terms.
+        (_doc(steps=[{"at": 0, "op": "close_channel", "channel": "nope"}]),
+         "bad 'channel': 'nope' is not a known channel"),
+        (_doc(steps=[{**release, "escrow": "deal"}, {**escrow, "escrow": "deal"}]),
+         "bad 'escrow': 'deal' is not a known escrow"),
+        (_doc(steps=[{k: v for k, v in pledge.items() if k != "goal"}]),
+         "campaign 'campaign' needs 'entrepreneur' and 'goal'"),
     ]
     for text, message in cases:
         with pytest.raises(ParseError, match=message):
@@ -185,6 +237,48 @@ def test_cli_malformed_scenario_is_usage_error(tmp_path, capsys):
     assert "needs an 'op'" in capsys.readouterr().err
 
 
+# Values of the wrong type or range for most fields.  No huge integer: a
+# subscribe step schedules all of its ``count`` payments at once.
+WRONG_VALUES = ("x", -1, None, [], {}, 1.5, True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_cli_never_crashes_on_a_wrong_field(tmp_path_factory, data):
+    # Exit 1 means a failed assertion, and the document carries none.
+    name = data.draw(st.sampled_from(sorted(bundled_scenarios())))
+    doc = json.loads(bundled(name).read_text())
+    del doc["assertions"]
+    entry = data.draw(st.sampled_from(doc["actors"] + doc["steps"]))
+    key = data.draw(st.sampled_from(sorted(entry)))
+    entry[key] = data.draw(st.sampled_from(WRONG_VALUES))
+    target = tmp_path_factory.mktemp("wrong") / "doc.json"
+    target.write_text(json.dumps(doc))
+    assert main(["run", str(target), "--report", str(target.with_name("report.json"))]) in (0, 2)
+
+
+@pytest.mark.parametrize("step, code", [
+    # The channel would expire before it opens: the run ends with exit 2.
+    ({"at": 9000, "op": "open_channel", "actor": "r", "sensor": "s", "deposit": 100,
+      "expiry_height": 2}, 2),
+    # No byte at that position of the stored datum: nothing is tampered.
+    ({"at": 20, "op": "tamper_store", "store": "st", "position": 100_000}, 0),
+])
+def test_cli_step_out_of_range_at_run_time_does_not_crash(tmp_path, step, code):
+    doc = {
+        "name": "late",
+        "actors": [{"id": "st", "kind": "store"},
+                   {"id": "r", "kind": "requester", "funding": 5000},
+                   {"id": "s", "kind": "sensor", "funding": 1000, "datum": "x" * 70,
+                    "replication": 1}],
+        "steps": [{"at": 0, "op": "register_sensor", "actor": "s"},
+                  {"at": 10, "op": "purchase", "actor": "r", "sensor": "s"}, step],
+    }
+    target = tmp_path / "late.json"
+    target.write_text(json.dumps(doc))
+    assert main(["run", str(target), "--report", str(tmp_path / "report.json")]) == code
+
+
 def test_cli_failing_assertion_exits_one(tmp_path, capsys):
     doc = json.loads(bundled("atomic_exchange").read_text())
     doc["assertions"] = [{"path": "exchanges.fulfilled", "equals": 42}]
@@ -215,3 +309,5 @@ def test_cli_seed_override(capsys):
     assert main(["run", "atomic_exchange", "--seed", "12345"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["seed"] == 12345
+    assert main(["run", "atomic_exchange", "--seed", "-1"]) == 2
+    assert "rng_seed must lie in" in capsys.readouterr().err

@@ -32,12 +32,16 @@ def test_next_block_delay_rejects_bad_mean():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        SimConfig(mean_block_interval_s=-1)
+    for mean in (-1, float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            SimConfig(mean_block_interval_s=mean)
     with pytest.raises(ValueError):
         SimConfig(num_nodes=0)
     with pytest.raises(ValueError):
         SimConfig(propagation_delay_s=-0.5)
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="rng_seed"):
+            SimConfig(rng_seed=seed)
 
 
 def test_labeled_rng_streams_are_stable_and_independent():
