@@ -72,14 +72,18 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     text = json.dumps(report, indent=2, sort_keys=True)
-    if args.report is not None:
-        args.report.write_text(text + "\n")
-    else:
-        print(text)
-    if args.dump_chain is not None:
-        args.dump_chain.write_text(run.dump_chain())
-    if args.dump_registry is not None:
-        args.dump_registry.write_text(run.dump_registry())
+    try:
+        if args.report is not None:
+            args.report.write_text(text + "\n")
+        else:
+            print(text)
+        if args.dump_chain is not None:
+            args.dump_chain.write_text(run.dump_chain())
+        if args.dump_registry is not None:
+            args.dump_registry.write_text(run.dump_registry())
+    except OSError as exc:
+        print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 2
 
     failed = [r for r in report["assertions"] if not r["ok"]]
     for result in report["assertions"]:

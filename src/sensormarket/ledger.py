@@ -15,7 +15,7 @@ be combined into one transaction later.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Container, Iterator, Optional, Union
 
 from . import crypto, wire
 from .errors import (
@@ -28,6 +28,7 @@ from .errors import (
     NegativeFee,
     OracleSignatureMissing,
     TimelockNotExpired,
+    ValidationError,
 )
 
 MAX_PAYLOAD = 80
@@ -415,6 +416,30 @@ class UtxoSet:
         return isinstance(other, UtxoSet) and self._entries == other._entries
 
 
+class UtxoView:
+    """A UTXO set with pending changes on top: ``base`` less the outpoints in
+    ``spent``, plus the entries of ``created``.
+
+    The mempool passes its ``spent_by`` and ``created``; ``Chain.apply_block``
+    passes a set and a dict that gather the spends and outputs of the block's
+    txs checked so far.  Only ``get`` is offered, all that validation reads.
+    """
+
+    def __init__(self, base: UtxoSet, spent: Container[tuple[bytes, int]],
+                 created: dict[tuple[bytes, int], UtxoEntry]):
+        self._base = base
+        self._spent = spent
+        self._created = created
+
+    def get(self, outpoint: tuple[bytes, int]) -> Optional[UtxoEntry]:
+        if outpoint in self._spent:
+            return None
+        entry = self._base.get(outpoint)
+        if entry is not None:
+            return entry
+        return self._created.get(outpoint)
+
+
 def tx_fee(tx: Transaction, utxo: UtxoSet) -> int:
     """The fee summed on its own: the tests' reference for the fee that
     ``validate_transaction`` returns."""
@@ -427,7 +452,7 @@ def tx_fee(tx: Transaction, utxo: UtxoSet) -> int:
     return total_in - sum(out.value for out in tx.outputs)
 
 
-def validate_transaction(tx: Transaction, utxo: UtxoSet, height: int) -> int:
+def validate_transaction(tx: Transaction, utxo: Union[UtxoSet, UtxoView], height: int) -> int:
     """Return the fee, or raise a ValidationError naming the first failing rule.
 
     Signature cache: the triples of a tx that passes are memoised on the tx
@@ -528,38 +553,38 @@ def _touch(touching: dict[bytes, list[int]], predicate: Predicate, pos: int) -> 
             positions.append(pos)
 
 
-@dataclass
-class _Undo:
-    spent: list[tuple[tuple[bytes, int], UtxoEntry]]
-    created: list[tuple[bytes, int]]
-
-
 class Chain:
-    """Append-only block chain with exact revert support.
+    """Append-only block chain.
 
     Height 0 is the genesis block; its transactions carry no inputs and mint
     the scenario's money supply, so value conservation is asserted from
     height 1 onward.
 
-    Each applied block is indexed by key digest as it is applied: for every
+    A block applies whole or not at all: ``apply_block`` checks every tx
+    against a ``UtxoView`` of the chain's UTXO set, and only a block that
+    passes is connected.  A failing block changes nothing, so nothing is
+    ever rolled back.  There is no revert either: the simulator has one
+    producer and no forks.
+
+    Each applied block is indexed by key digest as it is connected: for every
     digest, the positions of the block's transactions that create or spend a
     bare ``PayToKeyHash`` output of it (``txs_touching``).
     """
 
     def __init__(self, genesis_funding: tuple[Transaction, ...], timestamp: float = 0.0):
-        genesis = Block(
+        if any(tx.inputs for tx in genesis_funding):
+            raise InvalidTxInBlock("genesis transactions must not spend inputs")
+        self.blocks: list[Block] = []
+        self.utxo = UtxoSet()
+        self.tx_index: dict[bytes, tuple[int, int]] = {}  # txid -> (height, position)
+        self._touching: list[dict[bytes, list[int]]] = []  # per height
+        self._connect(Block(
             height=0,
             prev_block_hash=GENESIS_PREV_HASH,
             timestamp=timestamp,
             transactions=genesis_funding,
             fee_reward=0,
-        )
-        self.blocks: list[Block] = []
-        self.utxo = UtxoSet()
-        self.tx_index: dict[bytes, tuple[int, int]] = {}  # txid -> (height, position)
-        self._undo: list[_Undo] = []
-        self._touching: list[dict[bytes, list[int]]] = []  # per height, beside _undo
-        self._apply_genesis(genesis)
+        ))
 
     @property
     def height(self) -> int:
@@ -569,82 +594,48 @@ class Chain:
     def tip(self) -> Block:
         return self.blocks[-1]
 
-    def _apply_genesis(self, genesis: Block) -> None:
-        undo = _Undo(spent=[], created=[])
-        touching: dict[bytes, list[int]] = {}
-        for pos, tx in enumerate(genesis.transactions):
-            if tx.inputs:
-                raise InvalidTxInBlock("genesis transactions must not spend inputs")
-            tid = txid(tx)
-            for i, out in enumerate(tx.outputs):
-                self.utxo.add((tid, i), out, 0)
-                undo.created.append((tid, i))
-                _touch(touching, out.predicate, pos)
-            self.tx_index[tid] = (0, pos)
-        self.blocks.append(genesis)
-        self._undo.append(undo)
-        self._touching.append(touching)
-
     def apply_block(self, block: Block) -> None:
+        """Check ``block`` against a view of the UTXO set, then connect it."""
         if block.prev_block_hash != block_hash(self.tip):
             raise BadParent("block does not extend the current tip")
         if block.height != self.height + 1:
             raise BadParent(f"expected height {self.height + 1}, got {block.height}")
         if block.timestamp <= self.tip.timestamp:
             raise BadParent("block timestamp not increasing")
-        undo = _Undo(spent=[], created=[])
-        touching: dict[bytes, list[int]] = {}
+        spent: set[tuple[bytes, int]] = set()
+        created: dict[tuple[bytes, int], UtxoEntry] = {}
+        view = UtxoView(self.utxo, spent, created)
         total_fees = 0
-        try:
-            for pos, tx in enumerate(block.transactions):
-                total_fees += validate_transaction(tx, self.utxo, block.height)
+        for tx in block.transactions:
+            try:
                 tid = txid(tx)
-                for inp in tx.inputs:
-                    entry = self.utxo.spend(inp.outpoint)
-                    undo.spent.append((inp.outpoint, entry))
-                    _touch(touching, entry.output.predicate, pos)
-                for i, out in enumerate(tx.outputs):
-                    self.utxo.add((tid, i), out, block.height)
-                    undo.created.append((tid, i))
-                    _touch(touching, out.predicate, pos)
-                self.tx_index[tid] = (block.height, pos)
-        except Exception as exc:
-            self._rollback(undo, block)
-            if isinstance(exc, (MalformedTx, MissingUtxo, BadSignature,
-                                InsufficientSigners, TimelockNotExpired,
-                                OracleSignatureMissing, NegativeFee)):
+                total_fees += validate_transaction(tx, view, block.height)
+            except ValidationError as exc:
                 raise InvalidTxInBlock(str(exc)) from exc
-            raise
+            spent.update(inp.outpoint for inp in tx.inputs)
+            for i, out in enumerate(tx.outputs):
+                created[(tid, i)] = UtxoEntry(out, block.height)
         if block.fee_reward != total_fees:
-            self._rollback(undo, block)
             raise InvalidTxInBlock(
                 f"fee_reward {block.fee_reward} != collected fees {total_fees}"
             )
-        self.blocks.append(block)
-        self._undo.append(undo)
-        self._touching.append(touching)
-        for tx in block.transactions:
-            vars(tx).pop("_verified", None)  # confirmed: its signatures are not checked again
+        self._connect(block)
 
-    def _rollback(self, undo: _Undo, block: Block) -> None:
-        for outpoint in undo.created:
-            if outpoint in self.utxo:
-                self.utxo.spend(outpoint)
-        for outpoint, entry in undo.spent:
-            self.utxo.add(outpoint, entry.output, entry.height)
-        for tx in block.transactions:
+    def _connect(self, block: Block) -> None:
+        """Spend the inputs and add the outputs of ``block``, a checked block."""
+        touching: dict[bytes, list[int]] = {}
+        for pos, tx in enumerate(block.transactions):
             tid = txid(tx)
-            if self.tx_index.get(tid, (None, None))[0] == block.height:  # not an earlier copy
-                del self.tx_index[tid]
-
-    def revert_block(self) -> Block:
-        if self.height == 0:
-            raise BadParent("cannot revert the genesis block")
-        block = self.blocks.pop()
-        undo = self._undo.pop()
-        self._touching.pop()
-        self._rollback(undo, block)
-        return block
+            for inp in tx.inputs:
+                entry = self.utxo.spend(inp.outpoint)
+                _touch(touching, entry.output.predicate, pos)
+            for i, out in enumerate(tx.outputs):
+                self.utxo.add((tid, i), out, block.height)
+                _touch(touching, out.predicate, pos)
+            self.tx_index[tid] = (block.height, pos)
+            vars(tx).pop("_verified", None)  # confirmed: its signatures are not checked again
+        self.blocks.append(block)
+        self._touching.append(touching)
 
     def txs_touching(self, block: Block, key_digest: bytes) -> list[Transaction]:
         """The transactions of ``block``, a block of this chain, that create or

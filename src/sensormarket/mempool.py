@@ -31,30 +31,11 @@ from .ledger import (
     Chain,
     Transaction,
     UtxoEntry,
-    UtxoSet,
+    UtxoView,
     tx_size,
     txid,
     validate_transaction,
 )
-
-
-class _OverlayUtxo(UtxoSet):
-    """Chain UTXO set extended with outputs created by pool members."""
-
-    def __init__(self, base: UtxoSet, pool: "Mempool"):
-        self._base = base
-        self._pool = pool
-
-    def get(self, outpoint):
-        if outpoint in self._pool.spent_by:
-            return None
-        entry = self._base.get(outpoint)
-        if entry is not None:
-            return entry
-        return self._pool.created.get(outpoint)
-
-    def __contains__(self, outpoint) -> bool:
-        return self.get(outpoint) is not None
 
 
 @dataclass
@@ -95,9 +76,8 @@ class Mempool:
                 raise Conflict(
                     f"outpoint already spent by first-seen tx {holder.hex()[:16]}"
                 )
-        view = _OverlayUtxo(chain.utxo, self)
         height = chain.height + 1
-        fee = validate_transaction(tx, view, height)
+        fee = validate_transaction(tx, UtxoView(chain.utxo, self.spent_by, self.created), height)
         entry = MempoolEntry(tx=tx, txid=tid, fee=fee, size=tx_size(tx), seq=self._seq)
         self._seq += 1
         self.entries[tid] = entry

@@ -73,9 +73,11 @@ class Scenario:
 
 def load_scenario(path: str | Path) -> Scenario:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read scenario file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"scenario file is not UTF-8: {exc}") from exc
     return parse_scenario(text)
 
 
@@ -273,6 +275,8 @@ def parse_scenario(text: str) -> Scenario:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except RecursionError:
+        raise ParseError("scenario document is nested too deeply") from None
     if not isinstance(doc, dict):
         raise ParseError("scenario document must be a JSON object")
     known: dict[str, set] = {namespace: set() for namespace in _NAMESPACES + ("campaign",)}

@@ -176,7 +176,7 @@ class Market:
             assert requester.outstanding == twin.outstanding
 
 
-ACTIONS = ("pay", "pay", "pay", "mine", "reorg", "bad")
+ACTIONS = ("pay", "pay", "pay", "mine", "bad")
 
 
 @settings(max_examples=40)
@@ -196,11 +196,6 @@ def test_followers_match_a_full_block_scan(data):
                 with pytest.raises(InvalidTxInBlock):
                     market.apply(n, extra_fee=1)
         else:
-            if action == "reorg":
-                # Apply, revert, then apply a shorter block at the same height.
-                market.apply(n)
-                market.chain.revert_block()
-                n = draw(st.integers(0, max(n - 1, 0)))
             block = market.apply(n)
             market.pending = market.pending[n:]
             market.node.deliver_block(block)

@@ -317,30 +317,32 @@ def test_oracle_gated_requires_oracle_signature():
 
 # --- blocks and chain -------------------------------------------------------
 
-def test_apply_then_revert_restores_utxo_set():
+def _double_spend(chain):
+    return spend(chain, genesis_outpoint(chain), [TxOutput(980, PayToKeyHash(C.key_digest))], A)
+
+
+def _unserializable(chain):
+    # No txid: the value does not encode, so the tx cannot be named either.
+    return Transaction((TxInput(*genesis_outpoint(chain, 1)),),
+                       (TxOutput("x", PayToKeyHash(C.key_digest)),))
+
+
+@pytest.mark.parametrize("second", [_double_spend, _unserializable],
+                         ids=["double_spend", "unserializable_after_valid"])
+def test_double_spend_within_block_rejected(second):
     chain = make_chain((A, 1000), (B, 500))
-    before = chain.utxo.copy()
-    tx = spend(chain, genesis_outpoint(chain),
-               [TxOutput(950, PayToKeyHash(B.key_digest))], A)
-    mine(chain, [tx], 50)
-    assert chain.utxo != before
-    chain.revert_block()
-    assert chain.utxo == before
-    assert chain.height == 0
-    assert txid(tx) not in chain.tx_index
-
-
-def test_double_spend_within_block_rejected():
-    chain = make_chain((A, 1000))
-    op = genesis_outpoint(chain)
-    t1 = spend(chain, op, [TxOutput(990, PayToKeyHash(B.key_digest))], A)
-    t2 = spend(chain, op, [TxOutput(980, PayToKeyHash(C.key_digest))], A)
+    t1 = spend(chain, genesis_outpoint(chain), [TxOutput(990, PayToKeyHash(B.key_digest))], A)
     utxo_before = chain.utxo.copy()
+    index_before = dict(chain.tx_index)
+    blocks_before = list(chain.blocks)
     with pytest.raises(InvalidTxInBlock):
-        chain.apply_block(next_block(chain, [t1, t2], 30))
+        chain.apply_block(next_block(chain, [t1, second(chain)], 30))
     # Failed application must leave no trace.
     assert chain.utxo == utxo_before
-    assert chain.height == 0
+    assert chain.tx_index == index_before
+    assert chain.blocks == blocks_before
+    mine(chain, [t1], 10)
+    assert chain.confirmations(txid(t1)) == 1
 
 
 def test_fee_reward_must_match_collected_fees():

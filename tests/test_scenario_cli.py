@@ -226,8 +226,12 @@ def test_cli_missing_scenario_is_usage_error(capsys):
 
 def test_cli_malformed_file_is_usage_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    assert main(["run", str(bad)]) == 2
+    # Not JSON; not UTF-8; nested past the JSON parser's recursion limit.
+    for content in (b"{not json", b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000):
+        bad.write_bytes(content)
+        assert main(["run", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_cli_malformed_scenario_is_usage_error(tmp_path, capsys):
@@ -303,6 +307,12 @@ def test_cli_report_and_dump_files(tmp_path, capsys):
     assert report["exchanges"]["fulfilled"] == 1
     assert chain_path.read_text().count("\n") == report["chain"]["height"] + 1
     assert json.loads(registry_path.read_text())
+    # An output into a missing directory is a usage error, not a traceback.
+    capsys.readouterr()
+    for flag in ("--report", "--dump-chain", "--dump-registry"):
+        assert main(["run", "atomic_exchange", flag, str(tmp_path / "missing" / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write ") and err.count("\n") == 1
 
 
 def test_cli_seed_override(capsys):
