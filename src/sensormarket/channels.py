@@ -34,7 +34,6 @@ from .ledger import (
     TxOutput,
     txid,
 )
-from .simnet import Node, Simulation
 from .wallet import Wallet, sign_inputs
 
 
@@ -51,22 +50,19 @@ class Channel:
 
     def __init__(
         self,
-        sim: Simulation,
-        node: Node,
         funder_wallet: Wallet,
-        funder_keypair: crypto.KeyPair,
         sensor_keypair: crypto.KeyPair,
         deposit: int,
         expiry_height: int,
         counterparty_cooperative: bool = True,
         datum_source: Optional[Callable[[float], bytes]] = None,
     ):
-        if expiry_height <= sim.chain.height:
-            raise ExpiryPassed("expiry height must lie in the future")
-        self.sim = sim
-        self.node = node
         self.funder_wallet = funder_wallet
-        self.funder_keypair = funder_keypair
+        self.funder_keypair = funder_wallet.keypair
+        self.node = funder_wallet.node
+        self.sim = self.node.sim
+        if expiry_height <= self.sim.chain.height:
+            raise ExpiryPassed("expiry height must lie in the future")
         self.sensor_keypair = sensor_keypair
         self.deposit = deposit
         self.expiry_height = expiry_height
@@ -78,12 +74,11 @@ class Channel:
         self.datums_delivered: list[bytes] = []
         self._stale_flagged = False
 
-        fee = sim.config.default_fee
         wallet_before = dict(funder_wallet.utxos)
         funding = funder_wallet.create_tx(
-            [TxOutput(deposit, MultiSig(2, (funder_keypair.public_key,
+            [TxOutput(deposit, MultiSig(2, (self.funder_keypair.public_key,
                                             sensor_keypair.public_key)))],
-            fee=fee,
+            fee=self.sim.config.default_fee,
         )
         self.funding_txid = txid(funding)
         refund = self._build_settlement(deposit, 0, lock_height=expiry_height)
@@ -93,8 +88,8 @@ class Channel:
             raise CounterpartyRefused("counterparty withheld the initial refund signature")
         self.state = ChannelState(0, deposit, 0, refund)
         self._initial_refund = refund
-        sim.broadcast(funding, node)
-        node.when_confirmed(self.funding_txid, 1, self._on_funded)
+        self.sim.broadcast(funding, self.node)
+        self.node.when_confirmed(self.funding_txid, 1, self._on_funded)
 
     # --- internals ----------------------------------------------------------
 

@@ -61,8 +61,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     try:
-        scenario = load_scenario(_resolve_scenario(args.scenario))
-        run = ScenarioRun(scenario, seed_override=args.seed)
+        run = ScenarioRun(load_scenario(_resolve_scenario(args.scenario), args.seed))
         report = run.execute()
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -30,7 +30,7 @@ from .ledger import (
     sighash,
     txid,
 )
-from .simnet import Node, Simulation
+from .simnet import Node
 from .wallet import Wallet, sign_inputs
 
 
@@ -51,19 +51,12 @@ class EscrowAgreement:
 
 
 def fund_escrow(
-    sim: Simulation,
-    node: Node,
-    buyer_wallet: Wallet,
-    buyer_key: bytes,
-    seller_key: bytes,
-    mediator_key: bytes,
-    amount: int,
+    buyer_wallet: Wallet, seller_key: bytes, mediator_key: bytes, amount: int
 ) -> EscrowAgreement:
-    tx = buyer_wallet.create_tx(
-        [TxOutput(amount, MultiSig(2, (buyer_key, seller_key, mediator_key)))],
-        fee=sim.config.default_fee,
+    buyer_key = buyer_wallet.keypair.public_key
+    tx = buyer_wallet.send(
+        [TxOutput(amount, MultiSig(2, (buyer_key, seller_key, mediator_key)))]
     )
-    sim.broadcast(tx, node)
     return EscrowAgreement(
         buyer_key=buyer_key,
         seller_key=seller_key,
@@ -83,7 +76,6 @@ def build_escrow_spend(
 
 
 def escrow_release(
-    sim: Simulation,
     node: Node,
     agreement: EscrowAgreement,
     signer_a: crypto.KeyPair,
@@ -92,13 +84,14 @@ def escrow_release(
 ) -> Transaction:
     """Spend the escrow to ``destination`` under two of the three keys.
 
-    Signature validity is enforced by ledger validation on broadcast; calling
-    this with keys outside the escrow set produces a transaction the chain
-    rejects.
+    The signers are key pairs, which need not hold a wallet, so the release is
+    broadcast from ``node``.  Signature validity is enforced by ledger
+    validation on broadcast; calling this with keys outside the escrow set
+    produces a transaction the chain rejects.
     """
-    tx = build_escrow_spend(agreement, destination_digest, sim.config.default_fee)
+    tx = build_escrow_spend(agreement, destination_digest, node.sim.config.default_fee)
     tx = sign_inputs(tx, signer_a, signer_b)
-    sim.broadcast(tx, node)
+    node.sim.broadcast(tx, node)
     seller_digest = crypto.key_digest(agreement.seller_key)
     agreement.status = "Released" if destination_digest == seller_digest else "Refunded"
     return tx
@@ -123,9 +116,7 @@ class Pledge:
     amount: int
 
 
-def make_pledge(
-    wallet: Wallet, keypair: crypto.KeyPair, campaign: Campaign, amount: int
-) -> Pledge:
+def make_pledge(wallet: Wallet, campaign: Campaign, amount: int) -> Pledge:
     """Sign a contribution of one exact-value UTXO toward the campaign goal.
 
     The signature covers only this input plus the goal output, so pledges
@@ -140,19 +131,17 @@ def make_pledge(
         outputs=(campaign.goal_output,),
     )
     return Pledge(
-        contributor_key=keypair.public_key,
-        tx_input=sign_inputs(template, keypair).inputs[0],
+        contributor_key=wallet.keypair.public_key,
+        tx_input=sign_inputs(template, wallet.keypair).inputs[0],
         amount=amount,
     )
 
 
-def assemble_assurance(
-    sim: Simulation, node: Node, pledges: list[Pledge], campaign: Campaign
-) -> Transaction:
+def assemble_assurance(node: Node, pledges: list[Pledge], campaign: Campaign) -> Transaction:
     """Combine pledges into the goal transaction once they cover the goal."""
     total = 0
     for pledge in pledges:
-        entry = sim.chain.utxo.get(pledge.tx_input.outpoint)
+        entry = node.sim.chain.utxo.get(pledge.tx_input.outpoint)
         if entry is None:
             raise DoubleSpentPledge(
                 f"pledge UTXO {pledge.tx_input.prev_txid.hex()[:16]} already spent"
@@ -164,7 +153,7 @@ def assemble_assurance(
         inputs=tuple(p.tx_input for p in pledges),
         outputs=(campaign.goal_output,),
     )
-    sim.broadcast(tx, node)
+    node.sim.broadcast(tx, node)
     return tx
 
 
@@ -240,7 +229,8 @@ def oracle_gated_output(
 class OracleBet:
     """Two parties stake on opposite outcomes of one external fact.
 
-    Each party locks its stake in an oracle-gated 2-of-2 output.  After the
+    Each party locks its stake in an oracle-gated 2-of-2 output; both stakes
+    are broadcast, and the settlement later, from party a's node.  After the
     fact is known, the settlement spending both stakes to the winner gets the
     parties' signatures plus the oracle's, which the oracle grants only for
     the expression that evaluates true.
@@ -248,19 +238,17 @@ class OracleBet:
 
     def __init__(
         self,
-        sim: Simulation,
-        node: Node,
-        party_a: tuple[Wallet, crypto.KeyPair],
-        party_b: tuple[Wallet, crypto.KeyPair],
+        party_a_wallet: Wallet,
+        party_b_wallet: Wallet,
         stake: int,
         oracle: OracleService,
         expression_a_wins: str,
         expression_b_wins: str,
     ):
-        self.sim = sim
-        self.node = node
-        self.wallet_a, self.key_a = party_a
-        self.wallet_b, self.key_b = party_b
+        self.node = party_a_wallet.node
+        self.sim = self.node.sim
+        self.key_a = party_a_wallet.keypair
+        self.key_b = party_b_wallet.keypair
         self.stake = stake
         self.oracle = oracle
         self.expr_a = expression_a_wins
@@ -268,17 +256,17 @@ class OracleBet:
         self.settled: Optional[str] = None
         self.settle_txid: Optional[bytes] = None
         keys = (self.key_a.public_key, self.key_b.public_key)
-        fee = sim.config.default_fee
-        tx_a = self.wallet_a.create_tx(
+        fee = self.sim.config.default_fee
+        tx_a = party_a_wallet.create_tx(
             [oracle_gated_output(stake, oracle, expression_a_wins, keys)], fee
         )
-        tx_b = self.wallet_b.create_tx(
+        tx_b = party_b_wallet.create_tx(
             [oracle_gated_output(stake, oracle, expression_b_wins, keys)], fee
         )
         self.outpoint_a = (txid(tx_a), 0)
         self.outpoint_b = (txid(tx_b), 0)
-        sim.broadcast(tx_a, node)
-        sim.broadcast(tx_b, node)
+        self.sim.broadcast(tx_a, self.node)
+        self.sim.broadcast(tx_b, self.node)
 
     def _funded(self) -> bool:
         return (

@@ -28,7 +28,7 @@ from .errors import (
     ReplicationUnsatisfiable,
 )
 from .ledger import Block, PayToKeyHash, Transaction, TxOutput, first_signer, outputs_paying, txid
-from .simnet import Node, Simulation
+from .simnet import Node
 from .wallet import Wallet
 
 MARKER_VALUE = 1  # delivery transactions need one spendable unit to address the buyer
@@ -58,7 +58,6 @@ class SensorActor:
 
     def __init__(
         self,
-        sim: Simulation,
         node: Node,
         keypair: crypto.KeyPair,
         price_per_datum: int,
@@ -68,7 +67,7 @@ class SensorActor:
         replication: int = 2,
         actor_id: str = "sensor",
     ):
-        self.sim = sim
+        self.sim = node.sim
         self.node = node
         self.keypair = keypair
         self.price_per_datum = price_per_datum
@@ -80,7 +79,7 @@ class SensorActor:
         self.handled: set[bytes] = set()
         self.fulfillments: list[dict] = []
         self._pending: list[PaymentNotice] = []
-        self._rng = sim.rng(f"sensor/{actor_id}")
+        self._rng = self.sim.rng(f"sensor/{actor_id}")
         node.follow(self._scan_payments, confirmation_depth)
         node.on_block.append(self._on_block)
 
@@ -155,11 +154,8 @@ class SensorActor:
         data = datastore.seal(envelope.serialize(), payload_tags.DATUM_INLINE,
                               payload_tags.DATUM_ANCHORED, self.stores, self.replication)
         payer_digest = crypto.key_digest(notice.payer_public_key)
-        tx = self.wallet.create_tx(
-            [TxOutput(MARKER_VALUE, PayToKeyHash(payer_digest), data)], fee=fee
-        )
+        tx = self.wallet.send([TxOutput(MARKER_VALUE, PayToKeyHash(payer_digest), data)])
         self.handled.add(notice.payment_txid)
-        self.sim.broadcast(tx, self.node)
         self.fulfillments.append(
             {
                 "payment_txid": notice.payment_txid.hex(),
@@ -185,14 +181,13 @@ class RequesterActor:
 
     def __init__(
         self,
-        sim: Simulation,
         node: Node,
         keypair: crypto.KeyPair,
         confirmation_depth: int = 1,
         stores: Optional[list[datastore.Store]] = None,
         actor_id: str = "requester",
     ):
-        self.sim = sim
+        self.sim = node.sim
         self.node = node
         self.keypair = keypair
         self.stores = {s.store_id: s for s in (stores or [])}
@@ -208,11 +203,10 @@ class RequesterActor:
         self, sensor_payment_digest: bytes, price: int, amount: Optional[int] = None
     ) -> Transaction:
         pay_amount = price if amount is None else amount
-        tx = self.wallet.pay(sensor_payment_digest, pay_amount, self.sim.config.default_fee)
+        tx = self.wallet.send([TxOutput(pay_amount, PayToKeyHash(sensor_payment_digest))])
         self.outstanding.append(
             _Request(txid(tx), sensor_payment_digest, self.sim.clock, self.node.known_height)
         )
-        self.sim.broadcast(tx, self.node)
         return tx
 
     def receive_datum(self, block: Block) -> None:

@@ -460,6 +460,7 @@ def validate_transaction(tx: Transaction, utxo: Union[UtxoSet, UtxoView], height
     mempool or in its block, looks them up instead of re-verifying.
     ``Chain.apply_block`` drops the memo once the tx is confirmed.
     """
+    txid(tx)  # memoised; a field that does not encode is MalformedTx, not a TypeError below
     if not tx.outputs:
         raise MalformedTx("transaction has no outputs")
     if not tx.inputs:

@@ -44,7 +44,6 @@ class MempoolEntry:
     txid: bytes
     fee: int
     size: int
-    seq: int  # first-seen order
 
     @property
     def fee_rate(self) -> float:
@@ -56,7 +55,6 @@ class Mempool:
         self.entries: dict[bytes, MempoolEntry] = {}
         self.spent_by: dict[tuple[bytes, int], bytes] = {}  # outpoint -> txid
         self.created: dict[tuple[bytes, int], UtxoEntry] = {}
-        self._seq = 0
         self._checked_height = 0  # chain blocks up to here have been checked
 
     def __len__(self) -> int:
@@ -78,8 +76,7 @@ class Mempool:
                 )
         height = chain.height + 1
         fee = validate_transaction(tx, UtxoView(chain.utxo, self.spent_by, self.created), height)
-        entry = MempoolEntry(tx=tx, txid=tid, fee=fee, size=tx_size(tx), seq=self._seq)
-        self._seq += 1
+        entry = MempoolEntry(tx=tx, txid=tid, fee=fee, size=tx_size(tx))
         self.entries[tid] = entry
         for inp in tx.inputs:
             self.spent_by[inp.outpoint] = tid

@@ -21,7 +21,6 @@ from .errors import (
     UnknownName,
 )
 from .ledger import Block, Chain, PayToKeyHash, Transaction, TxOutput, first_signer, txid
-from .simnet import Node, Simulation
 from .wallet import Wallet
 
 MAX_NAME_LEN = 64
@@ -169,8 +168,6 @@ class Registry:
 
 
 def _registry_tx(
-    sim: Simulation,
-    node: Node,
     wallet: Wallet,
     record: SensorRecord,
     inline_tag: int,
@@ -183,17 +180,10 @@ def _registry_tx(
         data = datastore.seal(body, inline_tag, anchored_tag, stores or [], replication)
     except ReplicationUnsatisfiable as exc:
         raise RecordTooLarge(f"record is {len(body)} bytes and {exc}") from exc
-    tx = wallet.create_tx(
-        [TxOutput(0, PayToKeyHash(wallet.key_digest), data)],
-        fee=sim.config.default_fee,
-    )
-    sim.broadcast(tx, node)
-    return tx
+    return wallet.send([TxOutput(0, PayToKeyHash(wallet.key_digest), data)])
 
 
 def register_sensor(
-    sim: Simulation,
-    node: Node,
     wallet: Wallet,
     record: SensorRecord,
     stores: Optional[list[datastore.Store]] = None,
@@ -202,22 +192,20 @@ def register_sensor(
     """Broadcast a registration; the index honors it once confirmed (and only
     if the wallet key matches the record's owner digest)."""
     return _registry_tx(
-        sim, node, wallet, record,
+        wallet, record,
         payload_tags.REGISTRY_REGISTER, payload_tags.REGISTRY_REGISTER_ANCHORED,
         stores, replication,
     )
 
 
 def update_record(
-    sim: Simulation,
-    node: Node,
     wallet: Wallet,
     record: SensorRecord,
     stores: Optional[list[datastore.Store]] = None,
     replication: int = 2,
 ) -> Transaction:
     return _registry_tx(
-        sim, node, wallet, record,
+        wallet, record,
         payload_tags.REGISTRY_UPDATE, payload_tags.REGISTRY_UPDATE_ANCHORED,
         stores, replication,
     )

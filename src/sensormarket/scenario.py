@@ -11,14 +11,15 @@ A scenario is a JSON document:
       "assertions": [{"path": "exchanges.fulfilled", "equals": 1}, ...]
     }
 
-``ACTOR_FIELDS`` and ``OP_FIELDS`` (with ``DOC_FIELDS`` and
-``ASSERTION_FIELDS`` for the document and its assertions) are the one place a
-field's type is defined: each field with its converter and its default.
-``parse_scenario`` converts every field once, in place, in one pass; it checks
-each actor id against the role its field needs and each channel, escrow or
-campaign id against the steps before it.  A value it cannot take is a
-ParseError naming the actor or step and the field, so the run reads typed
-values only.
+``ACTOR_FIELDS`` and ``OP_FIELDS`` (with ``DOC_FIELDS``, ``CONFIG_FIELDS``
+and ``ASSERTION_FIELDS`` for the document, its config and its assertions) are
+the one place a field's type is defined: each field with its converter and its
+default.  ``parse_scenario`` converts every field once, in place, in one pass;
+it checks each actor id against the role its field needs, each store id
+against the other stores' and each channel, escrow or campaign id against the
+steps before it.  A value it cannot take is a ParseError naming the actor or
+step and the field, so the run reads typed values only.  The config becomes
+the run's ``SimConfig`` there too, so an unknown config key is a ParseError.
 
 Actor key pairs are derived from the scenario name and actor id, so txids are
 stable across RNG seeds; the seed only moves block timing and message delays.
@@ -55,6 +56,7 @@ from .ledger import (
     txid,
 )
 from .simnet import Node, SimConfig, Simulation
+from .wallet import Wallet
 
 
 @dataclass
@@ -64,21 +66,21 @@ class Scenario:
     tables wrote into them, which is what ``ScenarioRun`` reads."""
 
     name: str
-    config: dict
+    config: SimConfig
     horizon_s: float
     actors: list[dict]
     steps: list[dict]
     assertions: list[dict]
 
 
-def load_scenario(path: str | Path) -> Scenario:
+def load_scenario(path: str | Path, seed: Optional[int] = None) -> Scenario:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read scenario file: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"scenario file is not UTF-8: {exc}") from exc
-    return parse_scenario(text)
+    return parse_scenario(text, seed)
 
 
 # --- the schema ---------------------------------------------------------------
@@ -148,6 +150,12 @@ def _objects(value, where=None, known=None) -> list:
     return value
 
 
+def _flag(value, where=None, known=None) -> bool:
+    if not isinstance(value, bool):  # bool("false") is True
+        raise TypeError(f"expected true or false, got {type(value).__name__}")
+    return value
+
+
 def _datum(value, where=None, known=None) -> str:
     if not _text(value):
         raise ValueError("a datum must not be empty")
@@ -201,7 +209,7 @@ _TYPES = {
     "int": lambda value, where, known: int(value), "count": _count, "positive": _positive,
     "number": lambda value, where, known: float(value), "time": _time,
     "text": _text, "datum": _datum,
-    "flag": lambda value, where, known: bool(value), "funding": _funding,
+    "flag": _flag, "funding": _funding,
     "object": _object, "objects": _objects,
     **{namespace: _member(namespace) for namespace in _NAMESPACES},
     "new_channel": _opens("channel"), "new_escrow": _opens("escrow"),
@@ -236,11 +244,16 @@ def _fields(spec: str) -> tuple:
     return tuple(fields)
 
 
-# The fields of a document, of an actor (its ``id`` also unique), of a step of
-# each op besides ``op`` (``at`` first, which ``parse_scenario`` also keeps in
-# order), and of an assertion.  An op not named is unknown.
+# The fields of a document, of its config (all optional, so that SimConfig's
+# own defaults apply; a key not named is unknown), of an actor (its ``id`` also
+# unique, and a store's ``store_id``, which defaults to the actor's index), of
+# a step of each op besides ``op`` (``at`` first, which ``parse_scenario`` also
+# keeps in order), and of an assertion.  An op not named is unknown.
 DOC_FIELDS = _fields("name:text actors:objects steps:objects horizon_s=18000:time "
                      "config?:object assertions?:objects")
+CONFIG_FIELDS = _fields("rng_seed?:int mean_block_interval_s?:number "
+                        "propagation_delay_s?:number max_block_size?:int num_nodes?:int "
+                        "default_fee?:int")
 ACTOR_FIELDS = _fields(
     "id:text kind:text funding=0:funding node=0:int price=100:count confirmations=1:positive "
     "replication?:positive store_id?:count byzantine?:flag datum=datum:datum "
@@ -270,7 +283,9 @@ OP_FIELDS = {op: _fields("at=0:time " + spec) for op, spec in {
 ASSERTION_FIELDS = _fields("path:text min?:number max?:number")
 
 
-def parse_scenario(text: str) -> Scenario:
+def parse_scenario(text: str, seed: Optional[int] = None) -> Scenario:
+    """The typed scenario ``text`` describes, run with ``seed`` in place of
+    its config's ``rng_seed`` when one is given."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -285,10 +300,17 @@ def parse_scenario(text: str) -> Scenario:
     if not all(isinstance(i, str) for i in ids) or len(set(ids)) != len(ids):
         raise ParseError("every actor needs a unique 'id' (a string)")
     known["actor"].update(ids)
-    for actor in doc["actors"]:
+    store_ids = set()
+    for i, actor in enumerate(doc["actors"]):
         _convert(actor, ACTOR_FIELDS, known, "actor {!r}: ", actor["id"])
         for role in _roles(actor):
             known[role].add(actor["id"])
+        if actor["kind"] == "store":
+            store_id = actor.setdefault("store_id", i)
+            if store_id in store_ids:
+                raise ParseError(f"actor {actor['id']!r}: bad 'store_id': "
+                                 f"{store_id} is another store's")
+            store_ids.add(store_id)
     clock = 0.0
     for i, step in enumerate(doc["steps"]):
         op = step.get("op")
@@ -305,25 +327,18 @@ def parse_scenario(text: str) -> Scenario:
     for i, spec in enumerate(assertions):
         _convert(spec, ASSERTION_FIELDS, known, "assertion {}: ", i)
     config = doc.get("config", {})
-    _sim_config(config)  # a value SimConfig refuses fails here, not at run time
+    if seed is not None:
+        config["rng_seed"] = seed
+    unknown = sorted(set(config) - {name for name, _, _ in CONFIG_FIELDS})
+    if unknown:
+        raise ParseError(f"bad config: unknown key {unknown[0]!r}")
+    _convert(config, CONFIG_FIELDS, known, "config: ")
+    try:
+        config = SimConfig(**config)
+    except ValueError as exc:  # a value SimConfig refuses fails here, not at run time
+        raise ParseError(f"bad config: {exc}") from None
     return Scenario(doc["name"], config, doc["horizon_s"], doc["actors"], doc["steps"],
                     assertions)
-
-
-def _sim_config(cfg_doc: dict) -> SimConfig:
-    """The SimConfig a scenario's ``config`` describes; a value it cannot
-    take is a ParseError."""
-    try:
-        return SimConfig(
-            rng_seed=int(cfg_doc.get("rng_seed", 1)),
-            mean_block_interval_s=float(cfg_doc.get("mean_block_interval_s", 600.0)),
-            propagation_delay_s=float(cfg_doc.get("propagation_delay_s", 1.0)),
-            max_block_size=int(cfg_doc.get("max_block_size", 1_000_000)),
-            num_nodes=int(cfg_doc.get("num_nodes", 2)),
-            default_fee=int(cfg_doc.get("default_fee", 50)),
-        )
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"bad config: {exc}") from exc
 
 
 @dataclass
@@ -333,7 +348,7 @@ class _Actor:
     keypair: crypto.KeyPair
     node: Node
     spec: dict
-    wallet: Any = None
+    wallet: Optional[Wallet] = None
     requester: Optional[RequesterActor] = None
     sensor: Optional[SensorActor] = None
     oracle: Optional[contracts.OracleService] = None
@@ -343,9 +358,8 @@ class _Actor:
 class ScenarioRun:
     """One execution of a scenario; holds the final state for dumps."""
 
-    def __init__(self, scenario: Scenario, seed_override: Optional[int] = None):
+    def __init__(self, scenario: Scenario):
         self.scenario = scenario
-        self.seed_override = seed_override
         self.report: Optional[dict] = None
         self.sim: Optional[Simulation] = None
         self.registry: Optional[registry_mod.Registry] = None
@@ -359,10 +373,6 @@ class ScenarioRun:
     # --- setup --------------------------------------------------------------
 
     def _build(self) -> None:
-        cfg_doc = dict(self.scenario.config)
-        if self.seed_override is not None:
-            cfg_doc["rng_seed"] = self.seed_override
-        config = _sim_config(cfg_doc)
         keypairs = {
             a["id"]: crypto.keypair_from_label(f"{self.scenario.name}/{a['id']}")
             for a in self.scenario.actors
@@ -376,14 +386,11 @@ class ScenarioRun:
                         TxOutput(amount, PayToKeyHash(keypairs[a["id"]].key_digest))
                     )
         genesis = (Transaction(inputs=(), outputs=tuple(outputs)),) if outputs else ()
-        self.sim = Simulation(config, genesis)
+        self.sim = Simulation(self.scenario.config, genesis)
 
         stores = [
-            datastore.Store(
-                store_id=a.get("store_id", i),
-                byzantine=a.get("byzantine", False),
-            )
-            for i, a in enumerate(self.scenario.actors)
+            datastore.Store(store_id=a["store_id"], byzantine=a.get("byzantine", False))
+            for a in self.scenario.actors
             if a["kind"] == "store"
         ]
         stores_by_id = {s.store_id: s for s in stores}
@@ -391,8 +398,6 @@ class ScenarioRun:
         self.sim.nodes[0].follow(self.registry.apply_block)
 
         store_iter = iter(stores)
-        from .wallet import Wallet
-
         for a in self.scenario.actors:
             node = self.sim.nodes[a["node"] % len(self.sim.nodes)]
             actor = _Actor(a["id"], a["kind"], keypairs[a["id"]], node, a)
@@ -400,7 +405,6 @@ class ScenarioRun:
                 actor.store = next(store_iter)
             elif a["kind"] == "sensor":
                 actor.sensor = SensorActor(
-                    self.sim,
                     node,
                     actor.keypair,
                     price_per_datum=a["price"],
@@ -415,8 +419,7 @@ class ScenarioRun:
                 actor.oracle = contracts.OracleService(actor.keypair)
                 if a["funding"]:
                     actor.requester = RequesterActor(
-                        self.sim, node, actor.keypair,
-                        stores=stores, actor_id=a["id"],
+                        node, actor.keypair, stores=stores, actor_id=a["id"]
                     )
                     actor.wallet = actor.requester.wallet
                     # Sensor datums of the form "name=value" feed the fact base.
@@ -425,7 +428,7 @@ class ScenarioRun:
                     )
             elif a["kind"] == "requester":
                 actor.requester = RequesterActor(
-                    self.sim, node, actor.keypair,
+                    node, actor.keypair,
                     confirmation_depth=a["confirmations"],
                     stores=stores, actor_id=a["id"],
                 )
@@ -464,7 +467,7 @@ class ScenarioRun:
             price_per_datum=step.get("price", spec["price"]),
             endpoint=step.get("endpoint", spec.get("endpoint", "inline")),
         )
-        registry_mod.register_sensor(self.sim, actor.node, actor.wallet, record)
+        registry_mod.register_sensor(actor.wallet, record)
 
     def _step_update_record(self, step: dict) -> None:
         actor = self._actors[step["actor"]]
@@ -477,7 +480,7 @@ class ScenarioRun:
             price_per_datum=step.get("price", current.price_per_datum),
             endpoint=step.get("endpoint", current.endpoint),
         )
-        registry_mod.update_record(self.sim, actor.node, actor.wallet, record)
+        registry_mod.update_record(actor.wallet, record)
 
     def _step_purchase(self, step: dict) -> None:
         actor = self._actors[step["actor"]]
@@ -496,21 +499,14 @@ class ScenarioRun:
         actor.node.retry(attempt)
 
     def _step_transfer(self, step: dict) -> None:
-        src = self._actors[step["from"]]
-        dst = self._actors[step["to"]]
-        tx = src.wallet.pay(
-            dst.keypair.key_digest, step["amount"], self.sim.config.default_fee
-        )
-        self.sim.broadcast(tx, src.node)
+        payee = self._actors[step["to"]].keypair.key_digest
+        self._actors[step["from"]].wallet.send([TxOutput(step["amount"], PayToKeyHash(payee))])
 
     def _step_open_channel(self, step: dict) -> None:
         funder = self._actors[step["actor"]]
         sensor = self._actors[step["sensor"]]
         channel = Channel(
-            self.sim,
-            funder.node,
             funder.wallet,
-            funder.keypair,
             sensor.keypair,
             deposit=step["deposit"],
             expiry_height=step["expiry_height"],
@@ -539,10 +535,7 @@ class ScenarioRun:
         seller = self._actors[step["seller"]]
         mediator = self._actors[step["mediator"]]
         agreement = contracts.fund_escrow(
-            self.sim,
-            buyer.node,
             buyer.wallet,
-            buyer.keypair.public_key,
             seller.keypair.public_key,
             mediator.keypair.public_key,
             step["amount"],
@@ -558,7 +551,7 @@ class ScenarioRun:
 
         def release():
             contracts.escrow_release(
-                self.sim, node, agreement,
+                node, agreement,
                 signer_a.keypair, signer_b.keypair,
                 destination.keypair.key_digest,
             )
@@ -585,7 +578,7 @@ class ScenarioRun:
         campaign = self._campaign(step)
         campaign_id = step["campaign"]
         actor = self._actors[step["actor"]]
-        pledge = contracts.make_pledge(actor.wallet, actor.keypair, campaign, step["amount"])
+        pledge = contracts.make_pledge(actor.wallet, campaign, step["amount"])
         self._pledges[campaign_id].append(pledge)
         self._campaigns[campaign_id]["pledged"] += pledge.amount
 
@@ -596,7 +589,7 @@ class ScenarioRun:
         entrepreneur = self._actors[step["entrepreneur"]]
         try:
             tx = contracts.assemble_assurance(
-                self.sim, entrepreneur.node, self._pledges[campaign_id], campaign
+                entrepreneur.node, self._pledges[campaign_id], campaign
             )
             entry["status"] = "assembled"
             entry["txid"] = txid(tx).hex()
@@ -620,10 +613,8 @@ class ScenarioRun:
         oracle.register_expression(expr_a["id"], expr_a["text"])
         oracle.register_expression(expr_b["id"], expr_b["text"])
         bet = contracts.OracleBet(
-            self.sim,
-            party_a.node,
-            (party_a.wallet, party_a.keypair),
-            (party_b.wallet, party_b.keypair),
+            party_a.wallet,
+            party_b.wallet,
             step["stake"],
             oracle,
             expr_a["id"],
@@ -818,10 +809,8 @@ def _resolve_path(doc: Any, path: str) -> Any:
     return node
 
 
-def run_scenario(path: str | Path, seed_override: Optional[int] = None) -> tuple[dict, int]:
+def run_scenario(path: str | Path, seed: Optional[int] = None) -> tuple[dict, int]:
     """Load, execute and judge a scenario; returns (report, exit_code)."""
-    scenario = load_scenario(path)
-    run = ScenarioRun(scenario, seed_override)
-    report = run.execute()
+    report = ScenarioRun(load_scenario(path, seed)).execute()
     failed = [r for r in report["assertions"] if not r["ok"]]
     return report, (1 if failed else 0)

@@ -166,24 +166,13 @@ class Simulation:
     def schedule_in(self, delay: float, kind: str, callback: Callable[[], None]) -> None:
         self.schedule(self.clock + delay, kind, callback)
 
-    def run_until(self, t_end: float) -> dict:
+    def run_until(self, t_end: float) -> None:
         if t_end < self.clock:
             raise ValueError("t_end is in the past")
         while self._heap and self._heap[0][0] <= t_end:
             self.clock, _, _, callback = heapq.heappop(self._heap)
             callback()
         self.clock = t_end
-        return self.snapshot()
-
-    def snapshot(self) -> dict:
-        return {
-            "time": self.clock,
-            "height": self.chain.height,
-            "confirmed_tx_count": sum(
-                len(b.transactions) for b in self.chain.blocks[1:]
-            ),
-            "total_fees": self.fee_credits,
-        }
 
     def log_event(self, kind: str, **details) -> None:
         self.events_log.append({"kind": kind, "time": self.clock, **details})

@@ -116,6 +116,14 @@ class Wallet:
             self.utxos[(tid, len(outputs) - 1)] = change
         return tx
 
+    def send(self, payments: list[TxOutput]) -> Transaction:
+        """``create_tx`` at the default fee, broadcast from this wallet's node:
+        how an actor pays."""
+        sim = self.node.sim
+        tx = self.create_tx(payments, sim.config.default_fee)
+        sim.broadcast(tx, self.node)
+        return tx
+
     def pay(self, key_digest: bytes, amount: int, fee: int,
             payload: Optional[bytes] = None) -> Transaction:
         return self.create_tx([TxOutput(amount, PayToKeyHash(key_digest), payload)], fee)

@@ -144,18 +144,18 @@ def test_05_assurance_threshold_property(amounts, goal):
     wallets = [Wallet(kp, sim.nodes[0]) for kp in contributors]
     campaign = Campaign(entrepreneur.key_digest, goal=goal)
     pledges = [
-        make_pledge(w, kp, campaign, a)
-        for w, kp, a in zip(wallets, contributors, amounts)
+        make_pledge(w, campaign, a)
+        for w, a in zip(wallets, amounts)
     ]
     total = sum(amounts)
     if total >= goal:
-        tx = assemble_assurance(sim, sim.nodes[0], pledges, campaign)
+        tx = assemble_assurance(sim.nodes[0], pledges, campaign)
         validate_transaction(tx, sim.chain.utxo, 1)
         assert sum(o.value for o in tx.outputs) == goal
         assert tx_fee(tx, sim.chain.utxo) == total - goal  # value conserved
     else:
         with pytest.raises(InsufficientPledges):
-            assemble_assurance(sim, sim.nodes[0], pledges, campaign)
+            assemble_assurance(sim.nodes[0], pledges, campaign)
     CASES_RUN.append(1)
 
 
@@ -173,7 +173,7 @@ def test_06_oracle_gating():
     oracle.register_expression("wet", "rain_mm > 10")
     oracle.register_expression("dry", "rain_mm <= 10")
     bet = OracleBet(
-        sim, sim.nodes[0], (Wallet(a, sim.nodes[0]), a), (Wallet(b, sim.nodes[0]), b),
+        Wallet(a, sim.nodes[0]), Wallet(b, sim.nodes[0]),
         stake=1_000, oracle=oracle, expression_a_wins="wet", expression_b_wins="dry",
     )
     run_blocks(sim, 2)
@@ -260,7 +260,7 @@ def test_09_determinism():
         first, code_a = run_scenario(path)
         second, code_b = run_scenario(path)
         ok = ok and code_a == code_b == 0 and first["digest"] == second["digest"]
-        reseeded, code_c = run_scenario(path, seed_override=31337)
+        reseeded, code_c = run_scenario(path, seed=31337)
         ok = ok and code_c == 0  # assertions hold under a different seed
     verdict("9 determinism: same seed -> same digest, any seed -> green", ok)
 

@@ -16,6 +16,7 @@ from sensormarket.ledger import (
     TxOutput,
     Witness,
     txid,
+    validate_transaction,
 )
 from sensormarket.wallet import sign_inputs
 
@@ -71,6 +72,8 @@ def test_varbytes_longer_than_u16_is_malformed():
     lambda op: spend((op[0] + b"\x01", op[1]), TxOutput(900, PayToKeyHash(A.key_digest))),
     lambda op: Transaction((TxInput(*op, anyone_can_pay="yes"),), (TxOutput(900, AnyoneCanSpend()),)),
     lambda op: spend(op, TxOutput(900, nested_time_locks(5000))),  # not a RecursionError
+    lambda op: spend(op, TxOutput("x", PayToKeyHash(A.key_digest))),
+    lambda op: spend(op, TxOutput(None, PayToKeyHash(A.key_digest))),
 ])
 def test_unserializable_tx_is_rejected_without_a_txid(tx_of):
     sim, outpoint = funded_sim()
@@ -78,6 +81,8 @@ def test_unserializable_tx_is_rejected_without_a_txid(tx_of):
     assert sim.nodes[0].receive_tx(tx) is False
     assert rejections(sim) == [(None, "MalformedTx")]
     assert len(sim.nodes[0].mempool) == 0
+    with pytest.raises(MalformedTx):  # also when validated directly, without a txid first
+        validate_transaction(tx, sim.chain.utxo, sim.chain.height + 1)
 
 
 def test_rejection_of_a_serializable_tx_logs_its_txid():

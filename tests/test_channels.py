@@ -25,7 +25,7 @@ def open_channel(expiry=1_000, funds=50_000, **kwargs):
     sim = make_sim([(funder_kp, funds), (sensor_kp, 1_000)], num_nodes=2)
     funder_wallet = Wallet(funder_kp, sim.nodes[0])
     channel = Channel(
-        sim, sim.nodes[0], funder_wallet, funder_kp, sensor_kp,
+        funder_wallet, sensor_kp,
         deposit=DEPOSIT, expiry_height=expiry, **kwargs,
     )
     return sim, channel, funder_wallet, sensor_kp
@@ -52,7 +52,7 @@ def test_refusing_counterparty_aborts_cleanly():
     wallet = Wallet(funder_kp, sim.nodes[0])
     before = dict(wallet.utxos)
     with pytest.raises(CounterpartyRefused):
-        Channel(sim, sim.nodes[0], wallet, funder_kp, sensor_kp,
+        Channel(wallet, sensor_kp,
                 deposit=DEPOSIT, expiry_height=100,
                 counterparty_cooperative=False)
     assert wallet.utxos == before
@@ -171,7 +171,7 @@ def test_datum_per_payment():
     sim = make_sim([(funder_kp, 50_000)], num_nodes=2)
     wallet = Wallet(funder_kp, sim.nodes[0])
     channel = Channel(
-        sim, sim.nodes[0], wallet, funder_kp, sensor_kp,
+        wallet, sensor_kp,
         deposit=DEPOSIT, expiry_height=1_000,
         datum_source=lambda t: b"temp_c=%d" % int(t),
     )

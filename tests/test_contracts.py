@@ -45,8 +45,7 @@ def escrow_setup():
     sim = make_sim([(buyer, 10_000)], num_nodes=2)
     wallet = Wallet(buyer, sim.nodes[0])
     agreement = fund_escrow(
-        sim, sim.nodes[0], wallet, buyer.public_key, seller.public_key,
-        mediator.public_key, 5_000,
+        wallet, seller.public_key, mediator.public_key, 5_000,
     )
     run_blocks(sim, 2)
     return sim, agreement, buyer, seller, mediator
@@ -54,7 +53,7 @@ def escrow_setup():
 
 def test_escrow_release_to_seller():
     sim, agreement, buyer, seller, mediator = escrow_setup()
-    escrow_release(sim, sim.nodes[0], agreement, buyer, seller,
+    escrow_release(sim.nodes[0], agreement, buyer, seller,
                    seller.key_digest)
     run_blocks(sim, 2)
     assert agreement.status == "Released"
@@ -63,7 +62,7 @@ def test_escrow_release_to_seller():
 
 def test_escrow_refund_via_mediator():
     sim, agreement, buyer, seller, mediator = escrow_setup()
-    escrow_release(sim, sim.nodes[0], agreement, buyer, mediator,
+    escrow_release(sim.nodes[0], agreement, buyer, mediator,
                    buyer.key_digest)
     run_blocks(sim, 2)
     assert agreement.status == "Refunded"
@@ -80,7 +79,7 @@ def test_mediator_alone_cannot_move_funds():
 
 def test_seller_and_mediator_can_release():
     sim, agreement, buyer, seller, mediator = escrow_setup()
-    escrow_release(sim, sim.nodes[0], agreement, seller, mediator,
+    escrow_release(sim.nodes[0], agreement, seller, mediator,
                    seller.key_digest)
     run_blocks(sim, 2)
     assert agreement.status == "Released"
@@ -114,10 +113,10 @@ def test_assemble_when_goal_met():
     sim, entrepreneur, contributors, wallets = assurance_setup(amounts)
     campaign = Campaign(entrepreneur.key_digest, goal=1_000)
     pledges = [
-        make_pledge(w, kp, campaign, a)
-        for w, kp, a in zip(wallets, contributors, amounts)
+        make_pledge(w, campaign, a)
+        for w, a in zip(wallets, amounts)
     ]
-    tx = assemble_assurance(sim, sim.nodes[0], pledges, campaign)
+    tx = assemble_assurance(sim.nodes[0], pledges, campaign)
     run_blocks(sim, 2)
     assert Wallet(entrepreneur, sim.nodes[0]).balance == 1_000
     assert sim.fee_credits == 100  # the 100 excess became the fee
@@ -128,11 +127,11 @@ def test_shortfall_reported():
     sim, entrepreneur, contributors, wallets = assurance_setup(amounts)
     campaign = Campaign(entrepreneur.key_digest, goal=1_000)
     pledges = [
-        make_pledge(w, kp, campaign, a)
-        for w, kp, a in zip(wallets, contributors, amounts)
+        make_pledge(w, campaign, a)
+        for w, a in zip(wallets, amounts)
     ]
     with pytest.raises(InsufficientPledges) as exc:
-        assemble_assurance(sim, sim.nodes[0], pledges, campaign)
+        assemble_assurance(sim.nodes[0], pledges, campaign)
     assert exc.value.shortfall == 300
 
 
@@ -140,7 +139,7 @@ def test_single_pledge_below_goal_is_unspendable_alone():
     amounts = [400]
     sim, entrepreneur, contributors, wallets = assurance_setup(amounts)
     campaign = Campaign(entrepreneur.key_digest, goal=1_000)
-    pledge = make_pledge(wallets[0], contributors[0], campaign, 400)
+    pledge = make_pledge(wallets[0], campaign, 400)
     alone = Transaction(inputs=(pledge.tx_input,), outputs=(campaign.goal_output,))
     # Outputs would exceed inputs: invalid without more pledges.
     from sensormarket.errors import NegativeFee
@@ -153,8 +152,8 @@ def test_double_spent_pledge_detected():
     sim, entrepreneur, contributors, wallets = assurance_setup(amounts)
     campaign = Campaign(entrepreneur.key_digest, goal=1_000)
     pledges = [
-        make_pledge(w, kp, campaign, a)
-        for w, kp, a in zip(wallets, contributors, amounts)
+        make_pledge(w, campaign, a)
+        for w, a in zip(wallets, amounts)
     ]
     # The first contributor walks away with the pledged coin.
     betrayal = Transaction(
@@ -165,14 +164,14 @@ def test_double_spent_pledge_detected():
     sim.broadcast(betrayal, sim.nodes[0])
     run_blocks(sim, 2)
     with pytest.raises(DoubleSpentPledge):
-        assemble_assurance(sim, sim.nodes[0], pledges, campaign)
+        assemble_assurance(sim.nodes[0], pledges, campaign)
 
 
 def test_pledge_amount_must_be_positive():
     sim, entrepreneur, contributors, wallets = assurance_setup([100])
     campaign = Campaign(entrepreneur.key_digest, goal=1_000)
     with pytest.raises(ValueError):
-        make_pledge(wallets[0], contributors[0], campaign, 0)
+        make_pledge(wallets[0], campaign, 0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -184,12 +183,12 @@ def test_assembly_threshold_property(amounts, goal):
     sim, entrepreneur, contributors, wallets = assurance_setup(amounts)
     campaign = Campaign(entrepreneur.key_digest, goal=goal)
     pledges = [
-        make_pledge(w, kp, campaign, a)
-        for w, kp, a in zip(wallets, contributors, amounts)
+        make_pledge(w, campaign, a)
+        for w, a in zip(wallets, amounts)
     ]
     total = sum(amounts)
     if total >= goal:
-        tx = assemble_assurance(sim, sim.nodes[0], pledges, campaign)
+        tx = assemble_assurance(sim.nodes[0], pledges, campaign)
         validate_transaction(tx, sim.chain.utxo, sim.chain.height + 1)
         assert sum(o.value for o in tx.outputs) == goal
         # Conservation: the excess over the goal is exactly the fee.
@@ -197,7 +196,7 @@ def test_assembly_threshold_property(amounts, goal):
         assert tx_fee(tx, sim.chain.utxo) == total - goal
     else:
         with pytest.raises(InsufficientPledges) as exc:
-            assemble_assurance(sim, sim.nodes[0], pledges, campaign)
+            assemble_assurance(sim.nodes[0], pledges, campaign)
         assert exc.value.shortfall == goal - total
 
 
@@ -254,8 +253,7 @@ def bet_setup():
     oracle.register_expression("wet", "rain_mm > 10")
     oracle.register_expression("dry", "rain_mm <= 10")
     wallet_a, wallet_b = Wallet(a, sim.nodes[0]), Wallet(b, sim.nodes[0])
-    bet = OracleBet(sim, sim.nodes[0], (wallet_a, a), (wallet_b, b),
-                    stake=1_000, oracle=oracle,
+    bet = OracleBet(wallet_a, wallet_b, stake=1_000, oracle=oracle,
                     expression_a_wins="wet", expression_b_wins="dry")
     return sim, bet, oracle, a, b
 

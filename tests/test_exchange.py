@@ -25,11 +25,11 @@ def setup_pair(req_funds=100_000, sensor_funds=5_000, datum=b"pm25=12.5",
         num_nodes=2, default_fee=default_fee,
     )
     sensor = SensorActor(
-        sim, sim.nodes[1], sensor_kp, PRICE, lambda t: datum,
+        sim.nodes[1], sensor_kp, PRICE, lambda t: datum,
         stores=stores, **sensor_kwargs,
     )
     requester = RequesterActor(
-        sim, sim.nodes[0], req_kp, stores=stores,
+        sim.nodes[0], req_kp, stores=stores,
     )
     return sim, requester, sensor
 
@@ -216,11 +216,11 @@ def test_detect_payment_is_idempotent_until_fulfilled():
 def test_sensor_built_after_confirmation_sees_the_payment():
     req_kp, sensor_kp = make_keypair(20), make_keypair(21)
     sim = make_sim([(req_kp, 100_000), (sensor_kp, 5_000)], num_nodes=2)
-    requester = RequesterActor(sim, sim.nodes[0], req_kp)
+    requester = RequesterActor(sim.nodes[0], req_kp)
     payment = requester.initiate_purchase(sensor_kp.key_digest, PRICE)
     run_blocks(sim, 4)
     assert sim.chain.confirmations(txid(payment)) >= 3
-    sensor = SensorActor(sim, sim.nodes[1], sensor_kp, PRICE, lambda t: b"late")
+    sensor = SensorActor(sim.nodes[1], sensor_kp, PRICE, lambda t: b"late")
     assert [n.payment_txid for n in sensor.detect_payment()] == [txid(payment)]
     run_blocks(sim, 4)
     assert [d.plaintext for d in requester.deliveries] == [b"late"]

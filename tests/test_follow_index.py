@@ -110,14 +110,14 @@ class Market:
         self.wallets = [(Wallet(kp, node), RescanWallet(kp, node)) for kp in KEYS]
         self.sensors = []
         for kp in KEYS[:2]:
-            twins = [cls(self.sim, node, kp, PRICE, lambda t: b"x")
+            twins = [cls(node, kp, PRICE, lambda t: b"x")
                      for cls in (SensorActor, RescanSensor)]
             for sensor in twins:
                 node.on_block.remove(sensor._on_block)  # scanning only, no fulfilment
             self.sensors.append(twins)
         self.requesters = []
         for kp in KEYS[2:]:
-            twins = [cls(self.sim, node, kp) for cls in (RequesterActor, RescanRequester)]
+            twins = [cls(node, kp) for cls in (RequesterActor, RescanRequester)]
             for requester in twins:
                 requester.outstanding = [
                     _Request(bytes([n]) * 32, seller.key_digest, 0.0, 0)

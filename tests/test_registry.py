@@ -72,7 +72,7 @@ def test_registration_with_non_utf8_name_is_not_indexed():
     data = bytes([payload_tags.REGISTRY_REGISTER]) + _non_utf8_name(record_for(kps[0], "abc"))
     tx = wallets[0].create_tx([TxOutput(0, PayToKeyHash(kps[0].key_digest), data)], fee=50)
     sim.broadcast(tx, sim.nodes[0])
-    register_sensor(sim, sim.nodes[0], wallets[1], record_for(kps[1], "valid"))
+    register_sensor(wallets[1], record_for(kps[1], "valid"))
     run_blocks(sim, 3)
     assert txid(tx) in sim.chain.tx_index
     assert list(registry.index) == ["valid"]
@@ -82,7 +82,7 @@ def test_register_and_lookup():
     sim, registry, kps, wallets = registry_setup()
     with pytest.raises(UnknownName):
         registry.lookup("city_weather")
-    register_sensor(sim, sim.nodes[0], wallets[0], record_for(kps[0], "city_weather"))
+    register_sensor(wallets[0], record_for(kps[0], "city_weather"))
     run_blocks(sim, 2)
     record = registry.lookup("city_weather")
     assert record.owner_key_digest == kps[0].key_digest
@@ -91,8 +91,8 @@ def test_register_and_lookup():
 
 def test_same_block_collision_lower_txid_wins():
     sim, registry, kps, wallets = registry_setup()
-    t0 = register_sensor(sim, sim.nodes[0], wallets[0], record_for(kps[0], "shared"))
-    t1 = register_sensor(sim, sim.nodes[0], wallets[1], record_for(kps[1], "shared"))
+    t0 = register_sensor(wallets[0], record_for(kps[0], "shared"))
+    t1 = register_sensor(wallets[1], record_for(kps[1], "shared"))
     run_blocks(sim, 2)
     winner = min([t0, t1], key=txid)
     entry = registry.index["shared"]
@@ -103,9 +103,9 @@ def test_same_block_collision_lower_txid_wins():
 
 def test_earlier_block_beats_later_registration():
     sim, registry, kps, wallets = registry_setup()
-    register_sensor(sim, sim.nodes[0], wallets[0], record_for(kps[0], "shared"))
+    register_sensor(wallets[0], record_for(kps[0], "shared"))
     run_blocks(sim, 2)
-    register_sensor(sim, sim.nodes[0], wallets[1], record_for(kps[1], "shared"))
+    register_sensor(wallets[1], record_for(kps[1], "shared"))
     run_blocks(sim, 2)
     assert registry.lookup("shared").owner_key_digest == kps[0].key_digest
 
@@ -114,7 +114,7 @@ def test_registration_with_foreign_owner_ignored():
     sim, registry, kps, wallets = registry_setup()
     # Wallet 0 signs a record claiming wallet 1 as owner: not honored.
     bogus = record_for(kps[1], "stolen")
-    register_sensor(sim, sim.nodes[0], wallets[0], bogus)
+    register_sensor(wallets[0], bogus)
     run_blocks(sim, 2)
     with pytest.raises(UnknownName):
         registry.lookup("stolen")
@@ -122,34 +122,34 @@ def test_registration_with_foreign_owner_ignored():
 
 def test_owner_update_applies():
     sim, registry, kps, wallets = registry_setup()
-    register_sensor(sim, sim.nodes[0], wallets[0], record_for(kps[0], "s"))
+    register_sensor(wallets[0], record_for(kps[0], "s"))
     run_blocks(sim, 2)
-    update_record(sim, sim.nodes[0], wallets[0], record_for(kps[0], "s", price=150))
+    update_record(wallets[0], record_for(kps[0], "s", price=150))
     run_blocks(sim, 2)
     assert registry.lookup("s").price_per_datum == 150
 
 
 def test_non_owner_update_ignored():
     sim, registry, kps, wallets = registry_setup()
-    register_sensor(sim, sim.nodes[0], wallets[0], record_for(kps[0], "s"))
+    register_sensor(wallets[0], record_for(kps[0], "s"))
     run_blocks(sim, 2)
-    update_record(sim, sim.nodes[0], wallets[1], record_for(kps[0], "s", price=1))
+    update_record(wallets[1], record_for(kps[0], "s", price=1))
     run_blocks(sim, 2)
     assert registry.lookup("s").price_per_datum == 100
 
 
 def test_ownership_transfer_ignored():
     sim, registry, kps, wallets = registry_setup()
-    register_sensor(sim, sim.nodes[0], wallets[0], record_for(kps[0], "s"))
+    register_sensor(wallets[0], record_for(kps[0], "s"))
     run_blocks(sim, 2)
-    update_record(sim, sim.nodes[0], wallets[0], record_for(kps[1], "s"))
+    update_record(wallets[0], record_for(kps[1], "s"))
     run_blocks(sim, 2)
     assert registry.lookup("s").owner_key_digest == kps[0].key_digest
 
 
 def test_update_before_registration_ignored():
     sim, registry, kps, wallets = registry_setup()
-    update_record(sim, sim.nodes[0], wallets[0], record_for(kps[0], "ghost"))
+    update_record(wallets[0], record_for(kps[0], "ghost"))
     run_blocks(sim, 2)
     with pytest.raises(UnknownName):
         registry.lookup("ghost")
@@ -157,9 +157,9 @@ def test_update_before_registration_ignored():
 
 def test_find_by_data_type_sorted():
     sim, registry, kps, wallets = registry_setup()
-    register_sensor(sim, sim.nodes[0], wallets[0], record_for(kps[0], "zeta", "air"))
-    register_sensor(sim, sim.nodes[0], wallets[1], record_for(kps[1], "alpha", "air"))
-    register_sensor(sim, sim.nodes[0], wallets[2], record_for(kps[2], "mid", "water"))
+    register_sensor(wallets[0], record_for(kps[0], "zeta", "air"))
+    register_sensor(wallets[1], record_for(kps[1], "alpha", "air"))
+    register_sensor(wallets[2], record_for(kps[2], "mid", "water"))
     run_blocks(sim, 2)
     names = [r.name for r in registry.find_by_data_type("air")]
     assert names == ["alpha", "zeta"]
@@ -169,10 +169,10 @@ def test_find_by_data_type_sorted():
 
 def test_rescan_matches_incremental_index():
     sim, registry, kps, wallets = registry_setup()
-    register_sensor(sim, sim.nodes[0], wallets[0], record_for(kps[0], "a"))
-    register_sensor(sim, sim.nodes[0], wallets[1], record_for(kps[1], "b"))
+    register_sensor(wallets[0], record_for(kps[0], "a"))
+    register_sensor(wallets[1], record_for(kps[1], "b"))
     run_blocks(sim, 2)
-    update_record(sim, sim.nodes[0], wallets[0], record_for(kps[0], "a", price=7))
+    update_record(wallets[0], record_for(kps[0], "a", price=7))
     run_blocks(sim, 2)
     rescanned = Registry.rescan(sim.chain)
     assert rescanned.dump() == registry.dump()
@@ -185,8 +185,8 @@ def test_oversized_record_uses_datastore_anchor():
     sim.nodes[0].follow(registry.apply_block)
     big = record_for(kps[0], "verbose", endpoint="x" * 120)
     with pytest.raises(RecordTooLarge):
-        register_sensor(sim, sim.nodes[0], wallets[0], big)  # no stores given
-    register_sensor(sim, sim.nodes[0], wallets[0], big, stores=stores)
+        register_sensor(wallets[0], big)  # no stores given
+    register_sensor(wallets[0], big, stores=stores)
     run_blocks(sim, 2)
     assert registry.lookup("verbose").endpoint == "x" * 120
     # A registry without datastore access cannot resolve the anchor.
@@ -199,6 +199,6 @@ def test_oversized_record_with_fewer_stores_than_replication_is_too_large():
     stores = [Store(0)]
     big = record_for(kps[0], "verbose", endpoint="x" * 120)
     with pytest.raises(RecordTooLarge, match="replication 2 exceeds 1 stores"):
-        register_sensor(sim, sim.nodes[0], wallets[0], big, stores=stores, replication=2)
+        register_sensor(wallets[0], big, stores=stores, replication=2)
     assert stores[0].blobs == {}
     assert wallets[0].balance == 10_000  # nothing was built or broadcast

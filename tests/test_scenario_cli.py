@@ -124,6 +124,15 @@ def test_parse_rejects_structural_problems():
          "bad 'escrow': 'deal' is not a known escrow"),
         (_doc(steps=[{k: v for k, v in pledge.items() if k != "goal"}]),
          "campaign 'campaign' needs 'entrepreneur' and 'goal'"),
+        # A flag that is not a JSON boolean, a store id two stores share (the
+        # second store's defaults to its index, 1), and a config key SimConfig lacks.
+        (_doc(actors=[requester, {**store, "byzantine": "false"}]),
+         "actor 's': bad 'byzantine': expected true or false"),
+        (_doc(actors=[requester, store, {"id": "t", "kind": "store", "store_id": 1}]),
+         "actor 't': bad 'store_id': 1 is another store's"),
+        (_doc(config={"mean_block_interval": 60}),
+         "bad config: unknown key 'mean_block_interval'"),
+        (_doc(config={"num_nodes": "two"}), "config: bad 'num_nodes'"),
     ]
     for text, message in cases:
         with pytest.raises(ParseError, match=message):
@@ -150,7 +159,7 @@ def test_report_digest_deterministic_per_seed():
     first, _ = run_scenario(path)
     second, _ = run_scenario(path)
     assert first["digest"] == second["digest"]
-    other_seed, code = run_scenario(path, seed_override=999)
+    other_seed, code = run_scenario(path, seed=999)
     assert code == 0  # assertions are seed-independent
     assert other_seed["digest"] != first["digest"]  # timing moved
 
