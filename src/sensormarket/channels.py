@@ -1,15 +1,23 @@
 """Unidirectional micropayment channel for sensor subscriptions.
 
-One funding transaction locks the deposit in a 2-of-2 multisig; every
-off-chain update re-signs a settlement transaction for the new balance split;
-one settlement (or the pre-signed, height-locked refund) finally touches the
+One funding transaction locks the deposit in a 2-of-2 multisig; one
+settlement (or the pre-signed, height-locked refund) finally touches the
 chain.  Before the funding transaction is broadcast, the counterparty must
 co-sign the refund so the funder can always reclaim the deposit after the
 expiry height.
 
-Stale-state cheating is out of model: actors are honest by contract and the
-simulation flags any attempt to settle an outdated state instead of punishing
-it.
+In between, a payment costs one signature and one AEAD seal, as in a Spilman
+channel: money flows one way, so the payer's signature on the settlement for
+the new balance split is the payment, and the sensor adds its own only once,
+to the settlement it broadcasts at ``close``.  Each payment's datum is sealed
+under one session key per channel, agreed once at open from an ephemeral
+X25519 key (``crypto.session_to``), with the payment's sequence number as its
+nonce and the funding txid as associated data.
+
+Misbehaviour is out of model: actors are honest by contract, so no update's
+signature is verified off-chain (the chain checks the settlement that is
+broadcast), and the simulation flags any attempt to settle an outdated state
+instead of punishing it.
 """
 
 from __future__ import annotations
@@ -42,7 +50,7 @@ class ChannelState:
     sequence: int
     balance_requester: int
     balance_sensor: int
-    settlement_tx: Transaction  # fully signed by both parties
+    settlement_tx: Transaction  # signed by the payer; the sensor signs at close
 
 
 class Channel:
@@ -73,6 +81,7 @@ class Channel:
         self.paid_total = 0
         self.datums_delivered: list[bytes] = []
         self._stale_flagged = False
+        self._datum_sessions: Optional[tuple[crypto.Session, crypto.Session]] = None
 
         wallet_before = dict(funder_wallet.utxos)
         funding = funder_wallet.create_tx(
@@ -81,21 +90,31 @@ class Channel:
             fee=self.sim.config.default_fee,
         )
         self.funding_txid = txid(funding)
-        refund = self._build_settlement(deposit, 0, lock_height=expiry_height)
+        refund = self._build_settlement(deposit, 0, sensor_keypair, lock_height=expiry_height)
         if not counterparty_cooperative:
             # No co-signature on the refund: abort before anything is broadcast.
             funder_wallet.utxos = wallet_before
             raise CounterpartyRefused("counterparty withheld the initial refund signature")
         self.state = ChannelState(0, deposit, 0, refund)
         self._initial_refund = refund
+        if datum_source is not None:
+            # The sensor's side seals, the funder's opens: one agreement per channel.
+            ephemeral_key, sensor_side = crypto.session_to(
+                self.funder_keypair.public_key,
+                self.sim.rng("channel-datum").randbytes(32),
+            )
+            self._datum_sessions = (sensor_side,
+                                    crypto.session_from(self.funder_keypair, ephemeral_key))
         self.sim.broadcast(funding, self.node)
         self.node.when_confirmed(self.funding_txid, 1, self._on_funded)
 
     # --- internals ----------------------------------------------------------
 
     def _build_settlement(
-        self, balance_requester: int, balance_sensor: int, lock_height: Optional[int] = None
+        self, balance_requester: int, balance_sensor: int, *cosigners: crypto.KeyPair,
+        lock_height: Optional[int] = None,
     ) -> Transaction:
+        """The settlement for this split, signed by the funder, then ``cosigners``."""
         fee = self.sim.config.default_fee
         share_r = fee // 2 if balance_sensor else fee
         share_s = fee - share_r if balance_sensor else 0
@@ -115,7 +134,7 @@ class Channel:
             outputs=tuple(outputs),
             lock_height=lock_height,
         )
-        return sign_inputs(tx, self.funder_keypair, self.sensor_keypair)
+        return sign_inputs(tx, self.funder_keypair, *cosigners)
 
     def _on_funded(self) -> None:
         self.funded = True
@@ -123,7 +142,7 @@ class Channel:
     # --- operations ---------------------------------------------------------
 
     def pay(self, amount: int) -> ChannelState:
-        """Move ``amount`` to the sensor side; both parties re-sign off-chain."""
+        """Move ``amount`` to the sensor side; the funder signs off-chain."""
         return self.propose_update(self.state.sequence + 1, amount)
 
     def propose_update(self, sequence: int, amount: int) -> ChannelState:
@@ -142,24 +161,22 @@ class Channel:
         settlement = self._build_settlement(new_r, new_s)
         self.state = ChannelState(sequence, new_r, new_s, settlement)
         self.paid_total += amount
-        if self.datum_source is not None:
-            # Sensor answers each counter-signed update with an encrypted datum,
-            # delivered directly between the actors (no chain traffic).
-            datum = self.datum_source(self.sim.clock)
-            envelope = crypto.encrypt_for(
-                self.funder_keypair.public_key,
-                datum,
-                ephemeral_seed=self.sim.rng("channel-datum").randbytes(32),
-            )
-            self.datums_delivered.append(crypto.decrypt(self.funder_keypair, envelope))
+        if self._datum_sessions is not None:
+            # Sensor answers each signed update with a sealed datum, delivered
+            # directly between the actors (no chain traffic).  The sequence
+            # rises within the channel, so no nonce repeats under its key.
+            sensor_side, funder_side = self._datum_sessions
+            sealed = sensor_side.seal(sequence, self.datum_source(self.sim.clock),
+                                      self.funding_txid)
+            self.datums_delivered.append(funder_side.open(sequence, sealed, self.funding_txid))
         return self.state
 
     def close(self) -> Transaction:
-        """Broadcast the latest fully signed settlement."""
+        """Countersign the latest settlement and broadcast it."""
         if self.closed:
             raise AlreadyClosed("channel already settled")
         self.closed = True
-        settlement = self.state.settlement_tx
+        settlement = sign_inputs(self.state.settlement_tx, self.sensor_keypair)
         self.settle_txid = txid(settlement)
         self.node.when_confirmed(
             self.funding_txid, 1, lambda: self.sim.broadcast(settlement, self.node)

@@ -10,9 +10,11 @@ Addresses are ``prefix(1) || sha256(public_key)[:20] || checksum(4)`` where
 the checksum is the first 4 bytes of sha256(prefix || digest20).  The textual
 form is lowercase hex of those 25 bytes (case-insensitive on decode).
 
-Datum confidentiality uses ephemeral X25519 agreement + HKDF-SHA256 +
-ChaCha20-Poly1305.  Callers that need byte-stable output pass an explicit
-32-byte ephemeral seed (simulations draw it from their seeded RNG).
+Datum confidentiality uses ephemeral X25519 agreement, a SHA-256 key
+derivation and ChaCha20-Poly1305: ``encrypt_for`` makes one agreement per
+message, a ``Session`` one per stream of numbered messages.  Callers that
+need byte-stable output pass an explicit 32-byte ephemeral seed (simulations
+draw it from their seeded RNG).
 """
 
 from __future__ import annotations
@@ -173,9 +175,9 @@ def _session_key(shared: bytes, eph_pub: bytes, recipient_x_pub: bytes) -> tuple
     return okm, nonce
 
 
-def encrypt_for(public_key: bytes, plaintext: bytes, ephemeral_seed: bytes | None = None) -> CipherEnvelope:
-    if not plaintext:
-        raise ValueError("plaintext must be non-empty")
+def _agree_to(public_key: bytes, ephemeral_seed: bytes | None) -> tuple[bytes, bytes, bytes]:
+    """Sender side of one X25519 agreement with ``public_key``: the ephemeral
+    public key to hand over, and the session key and nonce derived from it."""
     if len(public_key) != PUBKEY_LEN:
         raise MalformedTx("recipient public key has wrong length")
     if ephemeral_seed is None:
@@ -186,7 +188,31 @@ def encrypt_for(public_key: bytes, plaintext: bytes, ephemeral_seed: bytes | Non
     eph_pub = eph_priv.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
     recipient_x_pub = public_key[32:]
     shared = eph_priv.exchange(X25519PublicKey.from_public_bytes(recipient_x_pub))
-    key, nonce = _session_key(shared, eph_pub, recipient_x_pub)
+    return (eph_pub, *_session_key(shared, eph_pub, recipient_x_pub))
+
+
+def _agree_from(keypair: KeyPair, ephemeral_key: bytes) -> tuple[bytes, bytes]:
+    """Recipient side of ``_agree_to``: the same session key and nonce."""
+    try:
+        ephemeral = X25519PublicKey.from_public_bytes(ephemeral_key)
+        shared = keypair.encryption_key.exchange(ephemeral)
+    except ValueError:
+        raise DecryptFailed("malformed ephemeral key") from None
+    return _session_key(shared, ephemeral_key, keypair.public_key[32:])
+
+
+def _open(aead: ChaCha20Poly1305, nonce: bytes, sealed: bytes,
+          associated_data: bytes | None) -> bytes:
+    try:
+        return aead.decrypt(nonce, sealed, associated_data)
+    except InvalidTag:
+        raise DecryptFailed("authentication failed") from None
+
+
+def encrypt_for(public_key: bytes, plaintext: bytes, ephemeral_seed: bytes | None = None) -> CipherEnvelope:
+    if not plaintext:
+        raise ValueError("plaintext must be non-empty")
+    eph_pub, key, nonce = _agree_to(public_key, ephemeral_seed)
     sealed = ChaCha20Poly1305(key).encrypt(nonce, plaintext, None)
     return CipherEnvelope(
         ephemeral_key=eph_pub,
@@ -197,18 +223,40 @@ def encrypt_for(public_key: bytes, plaintext: bytes, ephemeral_seed: bytes | Non
 
 
 def decrypt(keypair: KeyPair, envelope: CipherEnvelope) -> bytes:
-    try:
-        ephemeral = X25519PublicKey.from_public_bytes(envelope.ephemeral_key)
-        shared = keypair.encryption_key.exchange(ephemeral)
-    except ValueError:
-        raise DecryptFailed("malformed ephemeral key") from None
-    key, _ = _session_key(shared, envelope.ephemeral_key, keypair.public_key[32:])
-    try:
-        return ChaCha20Poly1305(key).decrypt(
-            envelope.nonce, envelope.ciphertext + envelope.tag, None
-        )
-    except InvalidTag:
-        raise DecryptFailed("authentication failed") from None
+    key, _ = _agree_from(keypair, envelope.ephemeral_key)
+    return _open(ChaCha20Poly1305(key), envelope.nonce, envelope.ciphertext + envelope.tag, None)
+
+
+class Session:
+    """Many messages under one agreement's key, as Noise's transport keys: the
+    caller numbers the messages, and each number is its message's nonce, so
+    a number must never repeat within a session."""
+
+    def __init__(self, key: bytes):
+        self._aead = ChaCha20Poly1305(key)
+
+    def seal(self, number: int, plaintext: bytes, associated_data: bytes) -> bytes:
+        return self._aead.encrypt(number.to_bytes(AEAD_NONCE_LEN, "little"), plaintext,
+                                  associated_data)
+
+    def open(self, number: int, sealed: bytes, associated_data: bytes) -> bytes:
+        """The plaintext, or DecryptFailed if ``sealed`` was not sealed as
+        message ``number`` with ``associated_data`` under this session's key."""
+        return _open(self._aead, number.to_bytes(AEAD_NONCE_LEN, "little"), sealed,
+                     associated_data)
+
+
+def session_to(public_key: bytes, ephemeral_seed: bytes) -> tuple[bytes, Session]:
+    """The ephemeral public key that the recipient opens the session with
+    (``session_from``), and the sender's session with ``public_key``."""
+    eph_pub, key, _ = _agree_to(public_key, ephemeral_seed)
+    return eph_pub, Session(key)
+
+
+def session_from(keypair: KeyPair, ephemeral_key: bytes) -> Session:
+    """The recipient's side of the session ``session_to`` opened to ``keypair``."""
+    key, _ = _agree_from(keypair, ephemeral_key)
+    return Session(key)
 
 
 def keypair_from_label(label: str) -> KeyPair:

@@ -42,7 +42,6 @@ from .errors import (
     InsufficientPledges,
     NoSnapshot,
     ParseError,
-    SensorMarketError,
     UnknownName,
 )
 from .exchange import RequesterActor, SensorActor
@@ -110,15 +109,21 @@ def _convert(where: dict, fields: tuple, known: dict, owner: str = "", *args) ->
             raise ParseError(f"{owner.format(*args)}bad {name!r}: {exc}") from None
 
 
+def _int(value, where=None, known=None) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):  # int(10.9) is 10, int(True) 1
+        raise TypeError(f"expected an integer, got {type(value).__name__}")
+    return value
+
+
 def _count(value, where=None, known=None) -> int:
-    value = int(value)
+    value = _int(value)
     if value < 0:
         raise ValueError(f"{value} is negative")
     return value
 
 
 def _positive(value, where=None, known=None) -> int:
-    value = int(value)
+    value = _int(value)
     if value < 1:
         raise ValueError(f"{value} is not positive")
     return value
@@ -206,7 +211,7 @@ def _expression(value, where=None, known=None) -> dict:
 
 
 _TYPES = {
-    "int": lambda value, where, known: int(value), "count": _count, "positive": _positive,
+    "int": _int, "count": _count, "positive": _positive,
     "number": lambda value, where, known: float(value), "time": _time,
     "text": _text, "datum": _datum,
     "flag": _flag, "funding": _funding,
@@ -231,7 +236,8 @@ def _roles(actor: dict) -> tuple[str, ...]:
 def _fields(spec: str) -> tuple:
     """``"name:type ..."`` as (name, converter, default) triples, the type named in
     ``_TYPES``.  ``name?:type`` may stay absent; ``name=default:type`` takes
-    ``default``, converted like a given value, when absent."""
+    ``default`` (an int if it is all digits), converted like a given value,
+    when absent."""
     fields = []
     for item in spec.split():
         name, kind = item.split(":")
@@ -240,6 +246,8 @@ def _fields(spec: str) -> tuple:
             name, default = name[:-1], _OPTIONAL
         elif not has_default:
             default = _REQUIRED
+        elif default.isdigit():
+            default = int(default)
         fields.append((name, _TYPES[kind], default))
     return tuple(fields)
 
@@ -337,6 +345,11 @@ def parse_scenario(text: str, seed: Optional[int] = None) -> Scenario:
         config = SimConfig(**config)
     except ValueError as exc:  # a value SimConfig refuses fails here, not at run time
         raise ParseError(f"bad config: {exc}") from None
+    for i, step in enumerate(doc["steps"]):
+        # A release pays the escrow's amount less the fee, so the amount must exceed it.
+        if step["op"] == "fund_escrow" and step["amount"] <= config.default_fee:
+            raise ParseError(f"step {i} 'fund_escrow': bad 'amount': {step['amount']} "
+                             f"does not exceed the fee {config.default_fee}")
     return Scenario(doc["name"], config, doc["horizon_s"], doc["actors"], doc["steps"],
                     assertions)
 

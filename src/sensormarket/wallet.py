@@ -15,7 +15,6 @@ from .errors import InsufficientFunds
 from .ledger import (
     Block,
     PayToKeyHash,
-    Predicate,
     Transaction,
     TxInput,
     TxOutput,

@@ -6,12 +6,20 @@ from sensormarket.channels import Channel
 from sensormarket.errors import (
     AlreadyClosed,
     CounterpartyRefused,
+    DecryptFailed,
     InsufficientChannelBalance,
+    InsufficientSigners,
     StaleSequence,
     TimelockNotExpired,
 )
-from sensormarket.ledger import scan_chain_safety
-from sensormarket.wallet import Wallet
+from sensormarket.ledger import (
+    Transaction,
+    TxInput,
+    scan_chain_safety,
+    txid,
+    validate_transaction,
+)
+from sensormarket.wallet import Wallet, sign_inputs
 
 from conftest import make_keypair, make_sim, run_blocks
 
@@ -116,6 +124,38 @@ def test_hundred_payments_two_onchain_transactions():
     scan_chain_safety(sim.chain)
 
 
+def signers(tx):
+    return [public_key for public_key, _ in tx.inputs[0].witness.signatures]
+
+
+def test_payment_is_the_funders_signature_alone():
+    sim, channel, funder_wallet, sensor_kp = open_channel()
+    run_blocks(sim, 2)
+    assert signers(channel.state.settlement_tx) == [
+        funder_wallet.keypair.public_key, sensor_kp.public_key
+    ]  # the refund is co-signed before the funding tx is broadcast
+    state = channel.pay(10)
+    assert signers(state.settlement_tx) == [funder_wallet.keypair.public_key]
+    with pytest.raises(InsufficientSigners):
+        validate_transaction(state.settlement_tx, sim.chain.utxo, sim.chain.height + 1)
+
+
+def test_close_countersigns_the_latest_settlement():
+    sim, channel, funder_wallet, sensor_kp = open_channel()
+    run_blocks(sim, 2)
+    channel.pay(10)
+    unsigned = channel.state.settlement_tx
+    unsigned = Transaction(tuple(TxInput(i.prev_txid, i.prev_index) for i in unsigned.inputs),
+                           unsigned.outputs, unsigned.lock_height)
+    settlement = channel.close()
+    assert signers(settlement) == [funder_wallet.keypair.public_key, sensor_kp.public_key]
+    assert txid(settlement) == txid(sign_inputs(unsigned, funder_wallet.keypair, sensor_kp))
+    assert channel.settle_txid == txid(settlement)
+    run_blocks(sim, 3)
+    assert channel.confirmed_onchain_count() == 2
+    assert txid(settlement) in {txid(tx) for b in sim.chain.blocks for tx in b.transactions}
+
+
 def test_close_before_funding_confirms_still_two_txs():
     sim, channel, _, _ = open_channel()
     channel.pay(10)  # updates are fine while funding is in the mempool
@@ -181,3 +221,20 @@ def test_datum_per_payment():
     assert len(channel.datums_delivered) == 5
     assert all(d.startswith(b"temp_c=") for d in channel.datums_delivered)
     assert channel.summary()["datums_delivered"] == 5
+
+
+def test_datum_is_sealed_to_its_sequence_and_channel():
+    sim, channel, _, _ = open_channel(datum_source=lambda t: b"temp_c=21")
+    run_blocks(sim, 2)
+    channel.pay(10)
+    sensor_side, funder_side = channel._datum_sessions
+    sealed = sensor_side.seal(2, b"temp_c=22", channel.funding_txid)
+    assert funder_side.open(2, sealed, channel.funding_txid) == b"temp_c=22"
+    flipped = bytes([sealed[0] ^ 1]) + sealed[1:]
+    for number, associated, blob in [
+        (3, channel.funding_txid, sealed),  # another sequence
+        (2, bytes(32), sealed),  # another channel's funding txid
+        (2, channel.funding_txid, flipped),  # one flipped byte
+    ]:
+        with pytest.raises(DecryptFailed):
+            funder_side.open(number, blob, associated)

@@ -153,6 +153,48 @@ def test_envelope_serialization_roundtrip():
         crypto.CipherEnvelope.deserialize(b"\x00" * 10)
 
 
+def test_envelope_bytes_are_pinned():
+    # Exchange envelopes go on chain, so their bytes enter the report digests.
+    envelope = crypto.encrypt_for(make_keypair(16).public_key, b"pm25=12.5",
+                                  ephemeral_seed=seed_bytes(97))
+    assert envelope.serialize().hex() == (
+        "d08eff96778abee3eb129226645aa188b93fc08f60024c7ce19299454d55aa1c"
+        "9763d83dd138feab2f959b4c9ee873cb614737efbb719ff5fbd861c8b8db5d1a"
+        "8b0148fb73"
+    )
+
+
+def test_session_opens_what_it_sealed_under_one_agreement():
+    kp = make_keypair(17)
+    ephemeral_key, sender = crypto.session_to(kp.public_key, seed_bytes(98))
+    receiver = crypto.session_from(kp, ephemeral_key)
+    for number in (1, 2, 1_000):
+        sealed = sender.seal(number, b"temp_c=%d" % number, b"channel")
+        assert len(sealed) == len(b"temp_c=%d" % number) + crypto.AEAD_TAG_LEN
+        assert receiver.open(number, sealed, b"channel") == b"temp_c=%d" % number
+    # Same seed, same agreement: the sessions are byte-stable.
+    again = crypto.session_to(kp.public_key, seed_bytes(98))
+    assert again[0] == ephemeral_key
+    assert again[1].seal(1, b"x", b"") == sender.seal(1, b"x", b"")
+
+
+def test_session_refuses_another_key_number_or_associated_data():
+    kp = make_keypair(18)
+    ephemeral_key, sender = crypto.session_to(kp.public_key, seed_bytes(99))
+    sealed = sender.seal(3, b"temp_c=21", b"channel")
+    receiver = crypto.session_from(kp, ephemeral_key)
+    stranger = crypto.session_from(make_keypair(19), ephemeral_key)
+    for session, number, associated in [
+        (receiver, 4, b"channel"), (receiver, 3, b"other"), (stranger, 3, b"channel"),
+    ]:
+        with pytest.raises(DecryptFailed):
+            session.open(number, sealed, associated)
+    with pytest.raises(DecryptFailed):
+        crypto.session_from(kp, b"\x00" * 31)  # not an X25519 key
+    with pytest.raises(MalformedTx):
+        crypto.session_to(b"\x00" * 10, seed_bytes(99))
+
+
 def test_empty_plaintext_rejected():
     with pytest.raises(ValueError):
         crypto.encrypt_for(make_keypair(15).public_key, b"")

@@ -133,10 +133,29 @@ def test_parse_rejects_structural_problems():
         (_doc(config={"mean_block_interval": 60}),
          "bad config: unknown key 'mean_block_interval'"),
         (_doc(config={"num_nodes": "two"}), "config: bad 'num_nodes'"),
+        # A number that is not an integer, or a boolean, is refused, not truncated.
+        (_doc(steps=[{**TRANSFER, "amount": 10.9}]),
+         "step 0 'transfer': bad 'amount': expected an integer, got float"),
+        (_doc(actors=[{**requester, "node": True}]),
+         "actor 'a': bad 'node': expected an integer, got bool"),
+        (_doc(config={"num_nodes": 2.7}), "config: bad 'num_nodes': expected an integer"),
+        # An escrow whose release would pay the fee or less.
+        (_doc(steps=[{**escrow, "amount": 25}]),
+         "step 0 'fund_escrow': bad 'amount': 25 does not exceed the fee 50"),
     ]
     for text, message in cases:
         with pytest.raises(ParseError, match=message):
             parse_scenario(text)
+
+
+def test_escrow_amount_is_checked_against_the_configured_fee():
+    escrow = {"at": 0, "op": "fund_escrow", "buyer": "a", "seller": "a",
+              "mediator": "a", "amount": 50}
+    with pytest.raises(ParseError, match="50 does not exceed the fee 50"):
+        parse_scenario(_doc(steps=[escrow]))
+    assert parse_scenario(_doc(steps=[{**escrow, "amount": 51}])).steps[0]["amount"] == 51
+    lower_fee = parse_scenario(_doc(steps=[escrow], config={"default_fee": 49}))
+    assert lower_fee.config.default_fee == 49
 
 
 def test_parse_accepts_bundled_files():
