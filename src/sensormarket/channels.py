@@ -16,8 +16,7 @@ nonce and the funding txid as associated data.
 
 Misbehaviour is out of model: actors are honest by contract, so no update's
 signature is verified off-chain (the chain checks the settlement that is
-broadcast), and the simulation flags any attempt to settle an outdated state
-instead of punishing it.
+broadcast), and ``close`` always settles the latest state.
 """
 
 from __future__ import annotations
@@ -28,10 +27,8 @@ from typing import Callable, Optional
 from . import crypto
 from .errors import (
     AlreadyClosed,
-    CounterpartyRefused,
     ExpiryPassed,
     InsufficientChannelBalance,
-    StaleSequence,
     TimelockNotExpired,
 )
 from .ledger import (
@@ -62,7 +59,6 @@ class Channel:
         sensor_keypair: crypto.KeyPair,
         deposit: int,
         expiry_height: int,
-        counterparty_cooperative: bool = True,
         datum_source: Optional[Callable[[float], bytes]] = None,
     ):
         self.funder_wallet = funder_wallet
@@ -80,10 +76,8 @@ class Channel:
         self.settle_txid: Optional[bytes] = None
         self.paid_total = 0
         self.datums_delivered: list[bytes] = []
-        self._stale_flagged = False
         self._datum_sessions: Optional[tuple[crypto.Session, crypto.Session]] = None
 
-        wallet_before = dict(funder_wallet.utxos)
         funding = funder_wallet.create_tx(
             [TxOutput(deposit, MultiSig(2, (self.funder_keypair.public_key,
                                             sensor_keypair.public_key)))],
@@ -91,10 +85,6 @@ class Channel:
         )
         self.funding_txid = txid(funding)
         refund = self._build_settlement(deposit, 0, sensor_keypair, lock_height=expiry_height)
-        if not counterparty_cooperative:
-            # No co-signature on the refund: abort before anything is broadcast.
-            funder_wallet.utxos = wallet_before
-            raise CounterpartyRefused("counterparty withheld the initial refund signature")
         self.state = ChannelState(0, deposit, 0, refund)
         self._initial_refund = refund
         if datum_source is not None:
@@ -143,15 +133,8 @@ class Channel:
 
     def pay(self, amount: int) -> ChannelState:
         """Move ``amount`` to the sensor side; the funder signs off-chain."""
-        return self.propose_update(self.state.sequence + 1, amount)
-
-    def propose_update(self, sequence: int, amount: int) -> ChannelState:
         if self.closed:
             raise AlreadyClosed("channel already settled")
-        if sequence != self.state.sequence + 1:
-            raise StaleSequence(
-                f"proposed sequence {sequence}, expected {self.state.sequence + 1}"
-            )
         if amount > self.state.balance_requester:
             raise InsufficientChannelBalance(
                 f"payment {amount} exceeds requester balance {self.state.balance_requester}"
@@ -159,6 +142,7 @@ class Channel:
         new_r = self.state.balance_requester - amount
         new_s = self.state.balance_sensor + amount
         settlement = self._build_settlement(new_r, new_s)
+        sequence = self.state.sequence + 1
         self.state = ChannelState(sequence, new_r, new_s, settlement)
         self.paid_total += amount
         if self._datum_sessions is not None:
@@ -182,19 +166,6 @@ class Channel:
             self.funding_txid, 1, lambda: self.sim.broadcast(settlement, self.node)
         )
         return settlement
-
-    def broadcast_settlement(self, state: ChannelState) -> Transaction:
-        """Broadcast an arbitrary signed state; flags stale attempts."""
-        if state.sequence < self.state.sequence:
-            self._stale_flagged = True
-            self.sim.log_event(
-                "stale_settlement",
-                channel=self.funding_txid.hex(),
-                sequence=state.sequence,
-                latest=self.state.sequence,
-            )
-            raise StaleSequence("refusing to settle an outdated state")
-        return self.close()
 
     def refund_after_expiry(self) -> Transaction:
         if self.closed:
@@ -231,6 +202,6 @@ class Channel:
             "balance_sensor": self.state.balance_sensor,
             "paid_total": self.paid_total,
             "onchain_tx_count": self.confirmed_onchain_count(),
-            "stale_flagged": self._stale_flagged,
+            "stale_flagged": False,  # close settles the latest state, never an older one
             "datums_delivered": len(self.datums_delivered),
         }

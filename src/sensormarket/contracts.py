@@ -53,6 +53,11 @@ class EscrowAgreement:
 def fund_escrow(
     buyer_wallet: Wallet, seller_key: bytes, mediator_key: bytes, amount: int
 ) -> EscrowAgreement:
+    """Lock ``amount`` under the 2-of-3 escrow; the release pays its fee out of
+    ``amount``, so ``amount`` must exceed the default fee."""
+    fee = buyer_wallet.node.sim.config.default_fee
+    if amount <= fee:
+        raise ValueError(f"escrow amount {amount} does not exceed the fee {fee}")
     buyer_key = buyer_wallet.keypair.public_key
     tx = buyer_wallet.send(
         [TxOutput(amount, MultiSig(2, (buyer_key, seller_key, mediator_key)))]

@@ -1,14 +1,11 @@
-"""Key pairs, addresses, signatures, hybrid encryption and content digests.
+"""Key pairs, signatures, hybrid encryption and content digests.
 
 Every actor key pair is derived deterministically from a 32-byte seed so that
 identical scenario seeds reproduce identical chains byte for byte.  A key
 pair's public identity is 64 bytes: an Ed25519 verification key (bytes 0..31)
 concatenated with an X25519 encryption key (bytes 32..63), both derived from
-the same seed.
-
-Addresses are ``prefix(1) || sha256(public_key)[:20] || checksum(4)`` where
-the checksum is the first 4 bytes of sha256(prefix || digest20).  The textual
-form is lowercase hex of those 25 bytes (case-insensitive on decode).
+the same seed.  Outputs pay, and registry records name, its key digest: the
+first 20 bytes of its SHA-256.
 
 Datum confidentiality uses ephemeral X25519 agreement, a SHA-256 key
 derivation and ChaCha20-Poly1305: ``encrypt_for`` makes one agreement per
@@ -41,7 +38,6 @@ from .errors import DecryptFailed, MalformedTx
 SEED_LEN = 32
 PUBKEY_LEN = 64
 KEY_DIGEST_LEN = 20
-ADDRESS_PREFIX = 0x53
 AEAD_TAG_LEN = 16
 AEAD_NONCE_LEN = 12
 
@@ -76,20 +72,6 @@ class KeyPair:
     @cached_property
     def encryption_key(self) -> X25519PrivateKey:
         return _encryption_key(self.seed)
-
-    @property
-    def address(self) -> "Address":
-        return derive_address(self.public_key)
-
-
-@dataclass(frozen=True)
-class Address:
-    version_prefix: int
-    key_digest: bytes
-    checksum: bytes
-
-    def encode(self) -> str:
-        return (bytes([self.version_prefix]) + self.key_digest + self.checksum).hex()
 
 
 @dataclass(frozen=True)
@@ -134,25 +116,6 @@ def generate_keypair(seed: bytes) -> KeyPair:
     # The keys just parsed become the pair's memos (where cached_property keeps them).
     vars(keypair).update(signing_key=signing, encryption_key=encryption)
     return keypair
-
-
-def derive_address(public_key: bytes) -> Address:
-    kd = key_digest(public_key)
-    checksum = digest(bytes([ADDRESS_PREFIX]) + kd)[:4]
-    return Address(version_prefix=ADDRESS_PREFIX, key_digest=kd, checksum=checksum)
-
-
-def decode_address(text: str) -> Address:
-    try:
-        raw = bytes.fromhex(text.lower())
-    except ValueError:
-        raise MalformedTx("address is not valid hex") from None
-    if len(raw) != 1 + KEY_DIGEST_LEN + 4:
-        raise MalformedTx("address has wrong length")
-    prefix, kd, checksum = raw[0], raw[1:21], raw[21:]
-    if digest(bytes([prefix]) + kd)[:4] != checksum:
-        raise MalformedTx("address checksum mismatch")
-    return Address(version_prefix=prefix, key_digest=kd, checksum=checksum)
 
 
 def sign(keypair: KeyPair, message: bytes) -> bytes:

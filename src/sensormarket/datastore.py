@@ -96,7 +96,7 @@ def fetch(
         content = s.get(anchor.blob_id)
         if content is None:
             continue
-        if crypto.digest(content) == anchor.blob_id:
+        if verify_anchor(content, anchor):
             return content
         if on_tamper is not None:
             on_tamper(loc)
@@ -106,6 +106,7 @@ def fetch(
 
 
 def verify_anchor(content: bytes, anchor: Anchor) -> bool:
+    """Whether ``content`` is what ``anchor`` names: the one anchor rule."""
     return crypto.digest(content) == anchor.blob_id
 
 

@@ -74,25 +74,13 @@ class AnchorMismatch(SensorMarketError):
     pass
 
 
-class NotFound(SensorMarketError):
-    pass
-
-
 # --- channels ---------------------------------------------------------------
 
 class InsufficientChannelBalance(SensorMarketError):
     pass
 
 
-class StaleSequence(SensorMarketError):
-    pass
-
-
 class AlreadyClosed(SensorMarketError):
-    pass
-
-
-class CounterpartyRefused(SensorMarketError):
     pass
 
 

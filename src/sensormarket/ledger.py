@@ -382,51 +382,20 @@ class UtxoEntry:
     height: int
 
 
-class UtxoSet:
-    """Map from outpoint to unspent output, with copy-on-demand semantics."""
-
-    def __init__(self, entries: Optional[dict[tuple[bytes, int], UtxoEntry]] = None):
-        self._entries: dict[tuple[bytes, int], UtxoEntry] = dict(entries or {})
-
-    def get(self, outpoint: tuple[bytes, int]) -> Optional[UtxoEntry]:
-        return self._entries.get(outpoint)
-
-    def add(self, outpoint: tuple[bytes, int], output: TxOutput, height: int) -> None:
-        self._entries[outpoint] = UtxoEntry(output, height)
-
-    def spend(self, outpoint: tuple[bytes, int]) -> UtxoEntry:
-        entry = self._entries.pop(outpoint, None)
-        if entry is None:
-            raise MissingUtxo(f"outpoint {outpoint[0].hex()[:16]}:{outpoint[1]} not unspent")
-        return entry
-
-    def copy(self) -> "UtxoSet":
-        return UtxoSet(self._entries)
-
-    def items(self) -> Iterator[tuple[tuple[bytes, int], UtxoEntry]]:
-        return iter(self._entries.items())
-
-    def __contains__(self, outpoint: tuple[bytes, int]) -> bool:
-        return outpoint in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, UtxoSet) and self._entries == other._entries
+Utxos = dict[tuple[bytes, int], UtxoEntry]  # a UTXO set: outpoint -> unspent output
 
 
 class UtxoView:
-    """A UTXO set with pending changes on top: ``base`` less the outpoints in
-    ``spent``, plus the entries of ``created``.
+    """A UTXO set with pending changes on top: ``base``, a plain dict such as
+    ``Chain.utxo``, less the outpoints in ``spent``, plus the entries of
+    ``created``.
 
     The mempool passes its ``spent_by`` and ``created``; ``Chain.apply_block``
     passes a set and a dict that gather the spends and outputs of the block's
     txs checked so far.  Only ``get`` is offered, all that validation reads.
     """
 
-    def __init__(self, base: UtxoSet, spent: Container[tuple[bytes, int]],
-                 created: dict[tuple[bytes, int], UtxoEntry]):
+    def __init__(self, base: Utxos, spent: Container[tuple[bytes, int]], created: Utxos):
         self._base = base
         self._spent = spent
         self._created = created
@@ -440,7 +409,7 @@ class UtxoView:
         return self._created.get(outpoint)
 
 
-def tx_fee(tx: Transaction, utxo: UtxoSet) -> int:
+def tx_fee(tx: Transaction, utxo: Utxos) -> int:
     """The fee summed on its own: the tests' reference for the fee that
     ``validate_transaction`` returns."""
     total_in = 0
@@ -452,7 +421,7 @@ def tx_fee(tx: Transaction, utxo: UtxoSet) -> int:
     return total_in - sum(out.value for out in tx.outputs)
 
 
-def validate_transaction(tx: Transaction, utxo: Union[UtxoSet, UtxoView], height: int) -> int:
+def validate_transaction(tx: Transaction, utxo: Union[Utxos, UtxoView], height: int) -> int:
     """Return the fee, or raise a ValidationError naming the first failing rule.
 
     Signature cache: the triples of a tx that passes are memoised on the tx
@@ -561,8 +530,9 @@ class Chain:
     the scenario's money supply, so value conservation is asserted from
     height 1 onward.
 
+    ``utxo`` is the UTXO set, a plain dict from outpoint to ``UtxoEntry``.
     A block applies whole or not at all: ``apply_block`` checks every tx
-    against a ``UtxoView`` of the chain's UTXO set, and only a block that
+    against a ``UtxoView`` of ``utxo``, and only a block that
     passes is connected.  A failing block changes nothing, so nothing is
     ever rolled back.  There is no revert either: the simulator has one
     producer and no forks.
@@ -576,7 +546,7 @@ class Chain:
         if any(tx.inputs for tx in genesis_funding):
             raise InvalidTxInBlock("genesis transactions must not spend inputs")
         self.blocks: list[Block] = []
-        self.utxo = UtxoSet()
+        self.utxo: Utxos = {}
         self.tx_index: dict[bytes, tuple[int, int]] = {}  # txid -> (height, position)
         self._touching: list[dict[bytes, list[int]]] = []  # per height
         self._connect(Block(
@@ -604,7 +574,7 @@ class Chain:
         if block.timestamp <= self.tip.timestamp:
             raise BadParent("block timestamp not increasing")
         spent: set[tuple[bytes, int]] = set()
-        created: dict[tuple[bytes, int], UtxoEntry] = {}
+        created: Utxos = {}
         view = UtxoView(self.utxo, spent, created)
         total_fees = 0
         for tx in block.transactions:
@@ -628,10 +598,10 @@ class Chain:
         for pos, tx in enumerate(block.transactions):
             tid = txid(tx)
             for inp in tx.inputs:
-                entry = self.utxo.spend(inp.outpoint)
+                entry = self.utxo.pop(inp.outpoint)
                 _touch(touching, entry.output.predicate, pos)
             for i, out in enumerate(tx.outputs):
-                self.utxo.add((tid, i), out, block.height)
+                self.utxo[(tid, i)] = UtxoEntry(out, block.height)
                 _touch(touching, out.predicate, pos)
             self.tx_index[tid] = (block.height, pos)
             vars(tx).pop("_verified", None)  # confirmed: its signatures are not checked again

@@ -134,6 +134,8 @@ class Registry:
     @classmethod
     def rescan(cls, chain: Chain,
                stores: Optional[dict[int, datastore.Store]] = None) -> "Registry":
+        """The index rebuilt from genesis on its own: the tests' reference for
+        the index that ``apply_block`` keeps block by block."""
         registry = cls(stores)
         for block in chain.blocks:
             registry.apply_block(block)
@@ -144,12 +146,6 @@ class Registry:
         if entry is None:
             raise UnknownName(name)
         return entry.record
-
-    def find_by_data_type(self, tag: str) -> list[SensorRecord]:
-        return sorted(
-            (e.record for e in self.index.values() if e.record.data_type == tag),
-            key=lambda r: r.name,
-        )
 
     def dump(self) -> list[dict]:
         return [

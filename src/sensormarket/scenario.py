@@ -129,10 +129,18 @@ def _positive(value, where=None, known=None) -> int:
     return value
 
 
+def _number(value, where=None, known=None) -> float:
+    if not isinstance(value, (int, float)) or isinstance(value, bool):  # float("60") is 60.0
+        raise TypeError(f"expected a number, got {type(value).__name__}")
+    if not math.isfinite(value):  # JSON as Python reads it admits NaN and Infinity
+        raise ValueError(f"{value} is not finite")
+    return float(value)
+
+
 def _time(value, where=None, known=None) -> float:
-    value = float(value)
-    if not 0 <= value < math.inf:
-        raise ValueError(f"{value} is not a finite number >= 0")
+    value = _number(value)
+    if value < 0:
+        raise ValueError(f"{value} is negative")
     return value
 
 
@@ -212,7 +220,7 @@ def _expression(value, where=None, known=None) -> dict:
 
 _TYPES = {
     "int": _int, "count": _count, "positive": _positive,
-    "number": lambda value, where, known: float(value), "time": _time,
+    "number": _number, "time": _time,
     "text": _text, "datum": _datum,
     "flag": _flag, "funding": _funding,
     "object": _object, "objects": _objects,

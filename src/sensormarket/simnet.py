@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .errors import NotFound, ValidationError
+from .errors import ValidationError
 from .ledger import Block, Chain, Transaction, block_hash, txid
 from .mempool import Mempool
 
@@ -37,8 +37,8 @@ class SimConfig:
             raise ValueError("rng_seed must lie in [0, 2**64)")
         if not 0 < self.mean_block_interval_s < float("inf"):
             raise ValueError("mean_block_interval_s must be positive and finite")
-        if self.propagation_delay_s < 0:
-            raise ValueError("propagation delay must be non-negative")
+        if not 0 <= self.propagation_delay_s < float("inf"):  # NaN would stall the event loop
+            raise ValueError("propagation_delay_s must be non-negative and finite")
         if self.num_nodes < 1:
             raise ValueError("need at least one node")
 
@@ -114,16 +114,6 @@ class Node:
             return True
 
         self.retry(attempt)
-
-
-def confirmations(node: Node, tid: bytes) -> int:
-    """0 while only in the node's mempool, burial depth once confirmed."""
-    confs = node.sim.chain.confirmations(tid, as_of_height=node.known_height)
-    if confs is not None:
-        return confs
-    if tid in node.mempool:
-        return 0
-    raise NotFound(f"transaction {tid.hex()[:16]} unknown at node {node.index}")
 
 
 class Simulation:

@@ -127,17 +127,6 @@ class Wallet:
             payload: Optional[bytes] = None) -> Transaction:
         return self.create_tx([TxOutput(amount, PayToKeyHash(key_digest), payload)], fee)
 
-    def exact_utxo(self, amount: int, fee: int) -> Optional[Transaction]:
-        """Ensure the wallet holds a UTXO of exactly ``amount``.
-
-        Returns a split transaction to broadcast, or None if one already
-        exists.  Needed for anyone-can-pay pledges, which cannot take change.
-        """
-        for outpoint, value in self.utxos.items():
-            if value == amount:
-                return None
-        return self.create_tx([TxOutput(amount, PayToKeyHash(self.key_digest))], fee)
-
     def take_exact_utxo(self, amount: int) -> tuple[bytes, int]:
         """Remove and return an outpoint of exactly ``amount`` from the wallet."""
         for outpoint, value in sorted(self.utxos.items()):

@@ -87,10 +87,6 @@ class Reader:
         except UnicodeDecodeError as exc:
             raise MalformedTx("text is not valid UTF-8") from exc
 
-    @property
-    def exhausted(self) -> bool:
-        return self._pos == len(self._data)
-
     def expect_end(self) -> None:
-        if not self.exhausted:
+        if self._pos != len(self._data):
             raise MalformedTx("trailing bytes after serialized value")

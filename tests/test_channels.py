@@ -5,11 +5,9 @@ import pytest
 from sensormarket.channels import Channel
 from sensormarket.errors import (
     AlreadyClosed,
-    CounterpartyRefused,
     DecryptFailed,
     InsufficientChannelBalance,
     InsufficientSigners,
-    StaleSequence,
     TimelockNotExpired,
 )
 from sensormarket.ledger import (
@@ -54,20 +52,6 @@ def test_open_confirms_funding():
     assert wallet.balance == 50_000 - DEPOSIT - FEE
 
 
-def test_refusing_counterparty_aborts_cleanly():
-    funder_kp, sensor_kp = make_keypair(30), make_keypair(31)
-    sim = make_sim([(funder_kp, 50_000)], num_nodes=2)
-    wallet = Wallet(funder_kp, sim.nodes[0])
-    before = dict(wallet.utxos)
-    with pytest.raises(CounterpartyRefused):
-        Channel(wallet, sensor_kp,
-                deposit=DEPOSIT, expiry_height=100,
-                counterparty_cooperative=False)
-    assert wallet.utxos == before
-    run_blocks(sim, 3)
-    assert chain_tx_count(sim) == 0  # nothing was ever broadcast
-
-
 def test_expiry_must_be_future():
     with pytest.raises(ValueError):
         open_channel(expiry=0)
@@ -92,16 +76,6 @@ def test_overdraw_rejected():
         channel.pay(DEPOSIT + 1)
     # State unchanged by the failed attempt.
     assert channel.state.sequence == 0
-
-
-def test_stale_sequence_rejected_on_update():
-    sim, channel, _, _ = open_channel()
-    run_blocks(sim, 2)
-    channel.pay(10)
-    with pytest.raises(StaleSequence):
-        channel.propose_update(1, 10)  # sequence 1 was already used
-    with pytest.raises(StaleSequence):
-        channel.propose_update(5, 10)  # skipping ahead is equally invalid
 
 
 def test_hundred_payments_two_onchain_transactions():
@@ -173,22 +147,9 @@ def test_double_close_rejected():
         channel.close()
     with pytest.raises(AlreadyClosed):
         channel.refund_after_expiry()
-
-
-def test_stale_settlement_broadcast_is_flagged():
-    sim, channel, _, _ = open_channel()
-    run_blocks(sim, 2)
-    old_state = channel.pay(10)
-    channel.pay(10)
-    with pytest.raises(StaleSequence):
-        channel.broadcast_settlement(old_state)
-    assert channel.summary()["stale_flagged"] is True
-    assert any(e["kind"] == "stale_settlement" for e in sim.events_log)
-    assert not channel.closed
-    # The latest state is still settleable.
-    channel.broadcast_settlement(channel.state)
-    run_blocks(sim, 3)
-    assert chain_tx_count(sim) == 2
+    with pytest.raises(AlreadyClosed):
+        channel.pay(10)
+    assert channel.state.sequence == 0
 
 
 def test_refund_after_expiry():

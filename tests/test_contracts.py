@@ -86,6 +86,20 @@ def test_seller_and_mediator_can_release():
     assert Wallet(seller, sim.nodes[0]).balance == 5_000 - FEE
 
 
+def test_escrow_at_or_below_the_fee_is_refused_before_funding():
+    buyer, seller, mediator = make_keypair(50), make_keypair(51), make_keypair(52)
+    sim = make_sim([(buyer, 10_000)], num_nodes=2)
+    wallet = Wallet(buyer, sim.nodes[0])
+    before = dict(wallet.utxos)
+    for amount in (25, FEE):  # the release would pay the whole amount, or more, as its fee
+        with pytest.raises(ValueError, match=f"{amount} does not exceed the fee {FEE}"):
+            fund_escrow(wallet, seller.public_key, mediator.public_key, amount)
+    assert wallet.utxos == before  # nothing was built or spent
+    assert len(sim.nodes[0].mempool) == 0
+    fund_escrow(wallet, seller.public_key, mediator.public_key, FEE + 1)
+    assert len(sim.nodes[0].mempool) == 1
+
+
 def test_outsider_signatures_do_not_release():
     sim, agreement, buyer, seller, mediator = escrow_setup()
     outsider = make_keypair(59)

@@ -1,4 +1,4 @@
-"""Keys, addresses, signatures and hybrid encryption."""
+"""Keys, signatures and hybrid encryption."""
 
 import hashlib
 
@@ -37,48 +37,9 @@ def test_signing_and_encryption_keys_differ():
     assert kp.public_key[:32] != kp.public_key[32:]
 
 
-def test_thousand_seeds_give_distinct_addresses():
-    addresses = {make_keypair(i).address.encode() for i in range(1000)}
-    assert len(addresses) == 1000
-
-
-def test_address_shape_and_roundtrip():
-    kp = make_keypair(3)
-    addr = kp.address
-    text = addr.encode()
-    assert len(text) == 50  # 25 bytes hex
-    assert text.startswith(f"{crypto.ADDRESS_PREFIX:02x}")
-    decoded = crypto.decode_address(text)
-    assert decoded == addr
-    # Case-insensitive decode.
-    assert crypto.decode_address(text.upper()) == addr
-
-
-def test_address_checksum_matches_derivation():
-    kp = make_keypair(4)
-    addr = kp.address
-    kd = crypto.digest(kp.public_key)[:20]
-    assert addr.key_digest == kd
-    expected = hashlib.sha256(bytes([crypto.ADDRESS_PREFIX]) + kd).digest()[:4]
-    assert addr.checksum == expected
-
-
-def test_corrupted_addresses_rejected():
-    text = make_keypair(5).address.encode()
-    raw = bytearray(bytes.fromhex(text))
-    for pos in range(len(raw)):
-        for flip in (0x01, 0x80):
-            bad = bytearray(raw)
-            bad[pos] ^= flip
-            with pytest.raises(MalformedTx):
-                crypto.decode_address(bytes(bad).hex())
-
-
-def test_address_bad_inputs():
-    with pytest.raises(MalformedTx):
-        crypto.decode_address("zz" * 25)  # not hex
-    with pytest.raises(MalformedTx):
-        crypto.decode_address("ab" * 24)  # wrong length
+def test_thousand_seeds_give_distinct_key_digests():
+    digests = {make_keypair(i).key_digest for i in range(1000)}
+    assert len(digests) == 1000
 
 
 def test_sign_verify_roundtrip():

@@ -28,7 +28,6 @@ from sensormarket.ledger import (
     Transaction,
     TxInput,
     TxOutput,
-    UtxoSet,
     Witness,
     block_hash,
     check_predicate,
@@ -332,7 +331,7 @@ def _unserializable(chain):
 def test_double_spend_within_block_rejected(second):
     chain = make_chain((A, 1000), (B, 500))
     t1 = spend(chain, genesis_outpoint(chain), [TxOutput(990, PayToKeyHash(B.key_digest))], A)
-    utxo_before = chain.utxo.copy()
+    utxo_before = dict(chain.utxo)
     index_before = dict(chain.tx_index)
     blocks_before = list(chain.blocks)
     with pytest.raises(InvalidTxInBlock):
@@ -455,18 +454,3 @@ def test_genesis_must_not_spend():
     )
     with pytest.raises(InvalidTxInBlock):
         Chain((bad,))
-
-
-def test_utxo_set_semantics():
-    utxo = UtxoSet()
-    out = TxOutput(5, AnyoneCanSpend())
-    utxo.add((b"\x01" * 32, 0), out, 3)
-    assert (b"\x01" * 32, 0) in utxo
-    assert len(utxo) == 1
-    snapshot = utxo.copy()
-    entry = utxo.spend((b"\x01" * 32, 0))
-    assert entry.output == out and entry.height == 3
-    assert len(utxo) == 0
-    assert len(snapshot) == 1  # copies are independent
-    with pytest.raises(MissingUtxo):
-        utxo.spend((b"\x01" * 32, 0))

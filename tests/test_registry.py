@@ -155,18 +155,6 @@ def test_update_before_registration_ignored():
         registry.lookup("ghost")
 
 
-def test_find_by_data_type_sorted():
-    sim, registry, kps, wallets = registry_setup()
-    register_sensor(wallets[0], record_for(kps[0], "zeta", "air"))
-    register_sensor(wallets[1], record_for(kps[1], "alpha", "air"))
-    register_sensor(wallets[2], record_for(kps[2], "mid", "water"))
-    run_blocks(sim, 2)
-    names = [r.name for r in registry.find_by_data_type("air")]
-    assert names == ["alpha", "zeta"]
-    assert [r.name for r in registry.find_by_data_type("water")] == ["mid"]
-    assert registry.find_by_data_type("none") == []
-
-
 def test_rescan_matches_incremental_index():
     sim, registry, kps, wallets = registry_setup()
     register_sensor(wallets[0], record_for(kps[0], "a"))

@@ -82,7 +82,7 @@ def test_parse_rejects_structural_problems():
         (_doc(config={"rng_seed": -1}), "bad config: rng_seed must lie in"),
         (_doc(config={"rng_seed": 2**64}), "bad config: rng_seed must lie in"),
         ('{"name": "x", "actors": [], "steps": [], "config": {"mean_block_interval_s": '
-         'Infinity}}', "bad config: mean_block_interval_s must be positive and finite"),
+         'Infinity}}', "config: bad 'mean_block_interval_s': inf is not finite"),
         (_doc(steps=[{**TRANSFER, "at": -5}]), "step 0 'transfer': bad 'at'"),
         (_doc(actors=[{**requester, "node": "x"}]), "actor 'a': bad 'node'"),
         (_doc(steps=[{**TRANSFER, "op": "teleport"}]), "unknown step op 'teleport'"),
@@ -142,6 +142,23 @@ def test_parse_rejects_structural_problems():
         # An escrow whose release would pay the fee or less.
         (_doc(steps=[{**escrow, "amount": 25}]),
          "step 0 'fund_escrow': bad 'amount': 25 does not exceed the fee 50"),
+        # A boolean or a numeric string is not a number, and neither is NaN or
+        # Infinity, which Python's JSON reader admits.
+        (_doc(steps=[{**TRANSFER, "at": True}]),
+         "step 0 'transfer': bad 'at': expected a number, got bool"),
+        (_doc(config={"mean_block_interval_s": "60"}),
+         "config: bad 'mean_block_interval_s': expected a number, got str"),
+        ('{"name": "x", "actors": [], "steps": [], "config": {"propagation_delay_s": NaN}}',
+         "config: bad 'propagation_delay_s': nan is not finite"),
+        ('{"name": "x", "actors": [], "steps": [], "horizon_s": -Infinity}',
+         "bad 'horizon_s': -inf is not finite"),
+        (_doc(actors=[requester, oracle],
+              steps=[{"at": 0, "op": "set_fact", "oracle": "o", "fact": "t", "value": True}]),
+         "step 0 'set_fact': bad 'value': expected a number, got bool"),
+        (_doc(assertions=[{"path": "scenario", "min": False}]),
+         "assertion 0: bad 'min': expected a number, got bool"),
+        (_doc(assertions=[{"path": "scenario", "max": 1e400}]),
+         "assertion 0: bad 'max': inf is not finite"),
     ]
     for text, message in cases:
         with pytest.raises(ParseError, match=message):

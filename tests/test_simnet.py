@@ -4,9 +4,8 @@ import random
 
 import pytest
 
-from sensormarket.errors import NotFound
 from sensormarket.ledger import PayToKeyHash, TxOutput, txid
-from sensormarket.simnet import SimConfig, Simulation, confirmations, next_block_delay
+from sensormarket.simnet import SimConfig, Simulation, next_block_delay
 from sensormarket.wallet import Wallet
 
 from conftest import genesis_tx, make_keypair, make_sim, run_blocks
@@ -37,8 +36,9 @@ def test_config_validation():
             SimConfig(mean_block_interval_s=mean)
     with pytest.raises(ValueError):
         SimConfig(num_nodes=0)
-    with pytest.raises(ValueError):
-        SimConfig(propagation_delay_s=-0.5)
+    for delay in (-0.5, float("inf"), float("nan")):  # NaN would stall the event loop
+        with pytest.raises(ValueError):
+            SimConfig(propagation_delay_s=delay)
     for seed in (-1, 2**64):
         with pytest.raises(ValueError, match="rng_seed"):
             SimConfig(rng_seed=seed)
@@ -93,21 +93,6 @@ def test_broadcast_reaches_all_nodes_after_delay():
         assert txid(tx) in node.mempool
 
 
-def test_confirmations_lifecycle():
-    kp, other = make_keypair(0), make_keypair(1)
-    sim = make_sim([(kp, 10_000)], mean_block_interval_s=30.0)
-    wallet = Wallet(kp, sim.nodes[0])
-    tx = wallet.pay(other.key_digest, 100, fee=10)
-    with pytest.raises(NotFound):
-        confirmations(sim.nodes[0], txid(tx))
-    sim.broadcast(tx, sim.nodes[0])
-    assert confirmations(sim.nodes[0], txid(tx)) == 0
-    run_blocks(sim, 2)
-    sim.run_until(sim.clock + 2)
-    assert confirmations(sim.nodes[0], txid(tx)) >= 1
-    assert sim.fee_credits >= 10
-
-
 def test_when_confirmed_fires_once_at_depth():
     kp, other = make_keypair(0), make_keypair(1)
     sim = make_sim([(kp, 10_000)], mean_block_interval_s=30.0)
@@ -120,6 +105,7 @@ def test_when_confirmed_fires_once_at_depth():
     assert len(hits) == 1
     height, _ = sim.chain.tx_index[txid(tx)]
     assert hits[0] >= height + 1  # at least depth 2 when it fired
+    assert sim.fee_credits == 10  # the producer kept the one tx's fee
 
 
 def test_when_confirmed_waits_in_the_hook_list_and_fires_once():

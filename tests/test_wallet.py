@@ -57,15 +57,15 @@ def test_exact_utxo_split_and_take():
     kp = make_keypair(0)
     sim = make_sim([(kp, 10_000)])
     wallet = Wallet(kp, sim.nodes[0])
-    split = wallet.exact_utxo(400, fee=50)
-    assert split is not None
+    with pytest.raises(InsufficientFunds):
+        wallet.take_exact_utxo(400)  # no output of exactly 400 yet
+    split = wallet.pay(kp.key_digest, 400, fee=50)
     sim.broadcast(split, sim.nodes[0])
     run_blocks(sim, 2)
     outpoint = wallet.take_exact_utxo(400)
+    assert outpoint == (txid(split), 0)
     assert sim.chain.utxo.get(outpoint).output.value == 400
-    # Already holding an exact UTXO means no split needed.
-    wallet2 = Wallet(kp, sim.nodes[0])
-    assert wallet2.exact_utxo(400, fee=50) is None
+    assert outpoint not in wallet.utxos
     with pytest.raises(InsufficientFunds):
         wallet.take_exact_utxo(400)  # the only one was taken
 
