@@ -59,24 +59,19 @@ class Channel:
         sensor_keypair: crypto.KeyPair,
         deposit: int,
         expiry_height: int,
-        datum_source: Optional[Callable[[float], bytes]] = None,
+        datum_source: Callable[[float], bytes],
     ):
-        self.funder_wallet = funder_wallet
         self.funder_keypair = funder_wallet.keypair
         self.node = funder_wallet.node
         self.sim = self.node.sim
         if expiry_height <= self.sim.chain.height:
             raise ExpiryPassed("expiry height must lie in the future")
         self.sensor_keypair = sensor_keypair
-        self.deposit = deposit
         self.expiry_height = expiry_height
         self.datum_source = datum_source
-        self.funded = False
         self.closed = False
         self.settle_txid: Optional[bytes] = None
-        self.paid_total = 0
         self.datums_delivered: list[bytes] = []
-        self._datum_sessions: Optional[tuple[crypto.Session, crypto.Session]] = None
 
         funding = funder_wallet.create_tx(
             [TxOutput(deposit, MultiSig(2, (self.funder_keypair.public_key,
@@ -87,16 +82,13 @@ class Channel:
         refund = self._build_settlement(deposit, 0, sensor_keypair, lock_height=expiry_height)
         self.state = ChannelState(0, deposit, 0, refund)
         self._initial_refund = refund
-        if datum_source is not None:
-            # The sensor's side seals, the funder's opens: one agreement per channel.
-            ephemeral_key, sensor_side = crypto.session_to(
-                self.funder_keypair.public_key,
-                self.sim.rng("channel-datum").randbytes(32),
-            )
-            self._datum_sessions = (sensor_side,
-                                    crypto.session_from(self.funder_keypair, ephemeral_key))
+        # The sensor's side seals, the funder's opens: one agreement per channel.
+        ephemeral_key, self._sensor_session = crypto.session_to(
+            self.funder_keypair.public_key,
+            self.sim.rng("channel-datum").randbytes(32),
+        )
+        self._funder_session = crypto.session_from(self.funder_keypair, ephemeral_key)
         self.sim.broadcast(funding, self.node)
-        self.node.when_confirmed(self.funding_txid, 1, self._on_funded)
 
     # --- internals ----------------------------------------------------------
 
@@ -126,9 +118,6 @@ class Channel:
         )
         return sign_inputs(tx, self.funder_keypair, *cosigners)
 
-    def _on_funded(self) -> None:
-        self.funded = True
-
     # --- operations ---------------------------------------------------------
 
     def pay(self, amount: int) -> ChannelState:
@@ -144,15 +133,13 @@ class Channel:
         settlement = self._build_settlement(new_r, new_s)
         sequence = self.state.sequence + 1
         self.state = ChannelState(sequence, new_r, new_s, settlement)
-        self.paid_total += amount
-        if self._datum_sessions is not None:
-            # Sensor answers each signed update with a sealed datum, delivered
-            # directly between the actors (no chain traffic).  The sequence
-            # rises within the channel, so no nonce repeats under its key.
-            sensor_side, funder_side = self._datum_sessions
-            sealed = sensor_side.seal(sequence, self.datum_source(self.sim.clock),
-                                      self.funding_txid)
-            self.datums_delivered.append(funder_side.open(sequence, sealed, self.funding_txid))
+        # Sensor answers each signed update with a sealed datum, delivered
+        # directly between the actors (no chain traffic).  The sequence rises
+        # within the channel, so no nonce repeats under its key.
+        sealed = self._sensor_session.seal(sequence, self.datum_source(self.sim.clock),
+                                           self.funding_txid)
+        self.datums_delivered.append(
+            self._funder_session.open(sequence, sealed, self.funding_txid))
         return self.state
 
     def close(self) -> Transaction:
@@ -181,17 +168,9 @@ class Channel:
         self.sim.broadcast(refund, self.node)
         return refund
 
-    @property
-    def onchain_txids(self) -> list[bytes]:
-        ids = [self.funding_txid]
-        if self.settle_txid is not None:
-            ids.append(self.settle_txid)
-        return ids
-
     def confirmed_onchain_count(self) -> int:
-        return sum(
-            1 for tid in self.onchain_txids if self.sim.chain.confirmations(tid) is not None
-        )
+        return sum(1 for tid in (self.funding_txid, self.settle_txid)
+                   if tid is not None and self.sim.chain.confirmations(tid) is not None)
 
     def summary(self) -> dict:
         return {
@@ -200,7 +179,7 @@ class Channel:
             "sequence": self.state.sequence,
             "balance_requester": self.state.balance_requester,
             "balance_sensor": self.state.balance_sensor,
-            "paid_total": self.paid_total,
+            "paid_total": self.state.balance_sensor,
             "onchain_tx_count": self.confirmed_onchain_count(),
             "stale_flagged": False,  # close settles the latest state, never an older one
             "datums_delivered": len(self.datums_delivered),

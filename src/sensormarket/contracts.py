@@ -116,7 +116,6 @@ class Campaign:
 
 @dataclass(frozen=True)
 class Pledge:
-    contributor_key: bytes
     tx_input: TxInput  # anyone-can-pay, signed against the goal output
     amount: int
 
@@ -135,11 +134,7 @@ def make_pledge(wallet: Wallet, campaign: Campaign, amount: int) -> Pledge:
         inputs=(TxInput(*outpoint, anyone_can_pay=True),),
         outputs=(campaign.goal_output,),
     )
-    return Pledge(
-        contributor_key=wallet.keypair.public_key,
-        tx_input=sign_inputs(template, wallet.keypair).inputs[0],
-        amount=amount,
-    )
+    return Pledge(tx_input=sign_inputs(template, wallet.keypair).inputs[0], amount=amount)
 
 
 def assemble_assurance(node: Node, pledges: list[Pledge], campaign: Campaign) -> Transaction:
@@ -273,12 +268,6 @@ class OracleBet:
         self.sim.broadcast(tx_a, self.node)
         self.sim.broadcast(tx_b, self.node)
 
-    def _funded(self) -> bool:
-        return (
-            self.outpoint_a in self.sim.chain.utxo
-            and self.outpoint_b in self.sim.chain.utxo
-        )
-
     def build_settlement(self, winner_digest: bytes) -> Transaction:
         fee = self.sim.config.default_fee
         return Transaction(
@@ -288,8 +277,9 @@ class OracleBet:
 
     def maybe_settle(self) -> Optional[Transaction]:
         """Settle to whichever party's expression currently holds, if any."""
-        if self.settled or not self._funded():
-            return None
+        utxo = self.sim.chain.utxo
+        if self.settled or self.outpoint_a not in utxo or self.outpoint_b not in utxo:
+            return None  # settled already, or a stake is not confirmed
         try:
             a_wins = self.oracle.evaluate(self.expr_a)
             b_wins = self.oracle.evaluate(self.expr_b)

@@ -9,15 +9,14 @@ first 20 bytes of its SHA-256.
 
 Datum confidentiality uses ephemeral X25519 agreement, a SHA-256 key
 derivation and ChaCha20-Poly1305: ``encrypt_for`` makes one agreement per
-message, a ``Session`` one per stream of numbered messages.  Callers that
-need byte-stable output pass an explicit 32-byte ephemeral seed (simulations
-draw it from their seeded RNG).
+message, a ``Session`` one per stream of numbered messages.  Every caller
+passes the 32-byte ephemeral seed of the agreement, drawn from its seeded
+RNG, so encryption is as deterministic as the rest of a simulation.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -138,13 +137,11 @@ def _session_key(shared: bytes, eph_pub: bytes, recipient_x_pub: bytes) -> tuple
     return okm, nonce
 
 
-def _agree_to(public_key: bytes, ephemeral_seed: bytes | None) -> tuple[bytes, bytes, bytes]:
+def _agree_to(public_key: bytes, ephemeral_seed: bytes) -> tuple[bytes, bytes, bytes]:
     """Sender side of one X25519 agreement with ``public_key``: the ephemeral
     public key to hand over, and the session key and nonce derived from it."""
     if len(public_key) != PUBKEY_LEN:
         raise MalformedTx("recipient public key has wrong length")
-    if ephemeral_seed is None:
-        ephemeral_seed = os.urandom(SEED_LEN)
     eph_priv = X25519PrivateKey.from_private_bytes(
         hashlib.sha256(b"sensormarket/ephemeral" + ephemeral_seed).digest()
     )
@@ -172,7 +169,7 @@ def _open(aead: ChaCha20Poly1305, nonce: bytes, sealed: bytes,
         raise DecryptFailed("authentication failed") from None
 
 
-def encrypt_for(public_key: bytes, plaintext: bytes, ephemeral_seed: bytes | None = None) -> CipherEnvelope:
+def encrypt_for(public_key: bytes, plaintext: bytes, ephemeral_seed: bytes) -> CipherEnvelope:
     if not plaintext:
         raise ValueError("plaintext must be non-empty")
     eph_pub, key, nonce = _agree_to(public_key, ephemeral_seed)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from . import crypto, wire
-from .errors import AllReplicasBadOrMissing, AnchorMismatch, MalformedTx, ReplicationUnsatisfiable
+from .errors import AnchorMismatch, MalformedTx, ReplicationUnsatisfiable
 from .ledger import MAX_PAYLOAD
 from .payload import ANCHORED
 
@@ -88,7 +88,8 @@ def fetch(
     stores_by_id: dict[int, Store],
     on_tamper: Optional[Callable[[int], None]] = None,
 ) -> bytes:
-    """Return content from the first replica matching the anchored digest."""
+    """Return content from the first replica matching the anchored digest;
+    ``AnchorMismatch`` if none does."""
     for loc in anchor.locators:
         s = stores_by_id.get(loc)
         if s is None:
@@ -100,7 +101,7 @@ def fetch(
             return content
         if on_tamper is not None:
             on_tamper(loc)
-    raise AllReplicasBadOrMissing(
+    raise AnchorMismatch(
         f"no replica of {anchor.blob_id.hex()[:16]} matches its digest"
     )
 
@@ -124,7 +125,4 @@ def unseal(payload: bytes, stores_by_id: dict[int, Store],
     """The content ``seal`` put in ``payload``; ``AnchorMismatch`` if no replica matches."""
     if payload[0] not in ANCHORED:
         return payload[1:]
-    try:
-        return fetch(Anchor.deserialize(payload[1:]), stores_by_id, on_tamper)
-    except AllReplicasBadOrMissing as exc:
-        raise AnchorMismatch(str(exc)) from exc
+    return fetch(Anchor.deserialize(payload[1:]), stores_by_id, on_tamper)

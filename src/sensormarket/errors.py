@@ -121,10 +121,6 @@ class ReplicationUnsatisfiable(SensorMarketError):
     pass
 
 
-class AllReplicasBadOrMissing(SensorMarketError):
-    pass
-
-
 # --- scenarios / CLI --------------------------------------------------------
 
 class ParseError(SensorMarketError):

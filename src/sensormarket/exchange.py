@@ -38,8 +38,6 @@ MARKER_VALUE = 1  # delivery transactions need one spendable unit to address the
 class PaymentNotice:
     payment_txid: bytes
     payer_public_key: bytes
-    amount: int
-    height: int
 
 
 @dataclass
@@ -76,8 +74,6 @@ class SensorActor:
         self.replication = replication
         self.actor_id = actor_id
         self.wallet = Wallet(keypair, node)
-        self.handled: set[bytes] = set()
-        self.fulfillments: list[dict] = []
         self._pending: list[PaymentNotice] = []
         self._rng = self.sim.rng(f"sensor/{actor_id}")
         node.follow(self._scan_payments, confirmation_depth)
@@ -93,25 +89,21 @@ class SensorActor:
                                    payment_txid=notice.payment_txid.hex(), error=str(exc))
                 return
             except ReplicationUnsatisfiable as exc:  # too few stores: give the payment up
-                self.handled.add(notice.payment_txid)
+                self._pending.remove(notice)
                 self.sim.log_event("sensor_unfulfillable", sensor=self.actor_id,
                                    payment_txid=notice.payment_txid.hex(), error=str(exc))
 
     def detect_payment(self) -> list[PaymentNotice]:
-        """Confirmed, not-yet-handled incoming payments meeting the price.
+        """Confirmed, not-yet-fulfilled incoming payments meeting the price.
 
-        A notice stays pending until ``fulfill`` adds its payment to
-        ``handled``: one whose fulfilment failed (``NoSensorFunds``) is
-        offered again, ahead of those from blocks confirmed since.
+        A notice stays pending until ``fulfill`` removes it: one whose
+        fulfilment failed (``NoSensorFunds``) is offered again, ahead of
+        those from blocks confirmed since.
         """
-        self._pending = [n for n in self._pending if n.payment_txid not in self.handled]
         return list(self._pending)
 
     def _scan_payments(self, block: Block) -> None:
         for tx in self.sim.chain.txs_touching(block, self.wallet.key_digest):
-            tid = txid(tx)
-            if tid in self.handled:
-                continue
             payer_key = first_signer(tx)
             if payer_key is None or crypto.key_digest(payer_key) == self.wallet.key_digest:
                 continue  # our own spend (change back to us) is not a payment
@@ -121,16 +113,15 @@ class SensorActor:
             if amount == 0:
                 continue
             if amount < self.price_per_datum:
-                self.handled.add(tid)
                 self.sim.log_event(
                     "underpayment",
                     sensor=self.actor_id,
-                    payment_txid=tid.hex(),
+                    payment_txid=txid(tx).hex(),
                     amount=amount,
                     price=self.price_per_datum,
                 )
                 continue
-            self._pending.append(PaymentNotice(tid, payer_key, amount, block.height))
+            self._pending.append(PaymentNotice(txid(tx), payer_key))
 
     def _is_plain_payment(self, tx: Transaction) -> bool:
         """True when every input spends an ordinary key-hash output."""
@@ -155,16 +146,7 @@ class SensorActor:
                               payload_tags.DATUM_ANCHORED, self.stores, self.replication)
         payer_digest = crypto.key_digest(notice.payer_public_key)
         tx = self.wallet.send([TxOutput(MARKER_VALUE, PayToKeyHash(payer_digest), data)])
-        self.handled.add(notice.payment_txid)
-        self.fulfillments.append(
-            {
-                "payment_txid": notice.payment_txid.hex(),
-                "delivery_txid": txid(tx).hex(),
-                "amount": notice.amount,
-                "mode": "anchored" if data[0] in payload_tags.ANCHORED else "inline",
-                "time": self.sim.clock,
-            }
-        )
+        self._pending.remove(notice)
         return tx
 
 
@@ -195,7 +177,6 @@ class RequesterActor:
         self.wallet = Wallet(keypair, node)
         self.outstanding: list[_Request] = []
         self.deliveries: list[DatumDelivery] = []
-        self.failures: list[dict] = []
         self.on_datum: list[Callable[[DatumDelivery], None]] = []
         node.follow(self.receive_datum, confirmation_depth)
 
@@ -212,8 +193,8 @@ class RequesterActor:
     def receive_datum(self, block: Block) -> None:
         """Decrypt the block's deliveries that match outstanding requests.
 
-        A delivery that is malformed or fails to decrypt is recorded in
-        ``failures`` once; its request stays outstanding.
+        A delivery that is malformed or fails to decrypt is logged once as a
+        ``delivery_failed`` event; its request stays outstanding.
         """
         for tx in self.sim.chain.txs_touching(block, self.wallet.key_digest):
             delivery = self._try_take_delivery(tx, txid(tx), block.height)
@@ -245,13 +226,6 @@ class RequesterActor:
             plaintext = crypto.decrypt(self.keypair, crypto.CipherEnvelope.deserialize(sealed))
         except (DecryptFailed, AnchorMismatch, MalformedTx) as exc:
             # Request stays outstanding; the failure is surfaced in the report.
-            self.failures.append(
-                {
-                    "delivery_txid": tid.hex(),
-                    "error": type(exc).__name__,
-                    "time": self.sim.clock,
-                }
-            )
             self.sim.log_event(
                 "delivery_failed",
                 requester=self.actor_id,

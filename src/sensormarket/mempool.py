@@ -16,9 +16,10 @@ Two indices keep upkeep proportional to what changed, not to the pool:
 A member is stale when one of its inputs is neither in ``chain.utxo`` nor in
 ``created``.  Only two events can make a member stale: a block spending an
 outpoint it spends, and the removal of a member whose output it spends.  The
-chain only grows, and ``_checked_height`` is the last height whose spends
-have been checked, so ``drop_confirmed`` tests just the holders of outpoints
-spent above it and the spenders of what it removes.
+chain only grows, and ``_checked_height`` is the last height whose blocks
+have been checked, so ``drop_confirmed`` removes just the members confirmed
+above it, then tests the holders of outpoints spent there and the spenders
+of what it removes.
 """
 
 from __future__ import annotations
@@ -100,19 +101,18 @@ class Mempool:
                 spenders.append(spender)
         return spenders
 
-    def drop_confirmed(self, block_txs: tuple[Transaction, ...], chain: Chain) -> None:
-        """Remove included transactions, then evict entries whose inputs are
-        no longer satisfiable (conflicts and orphaned descendants).
+    def drop_confirmed(self, chain: Chain) -> None:
+        """Remove the transactions of every chain block above ``_checked_height``,
+        then evict entries whose inputs are no longer satisfiable (conflicts
+        and orphaned descendants).
 
-        ``block_txs`` may lag the chain (a node hears of a block after it is
-        applied), so the spends of every block above ``_checked_height`` are
-        checked, not just those of ``block_txs``.
+        A node hears of a block after the chain applied it, and maybe of more
+        than one, so every block it has not checked is scanned.
         """
         suspects: list[bytes] = []
-        for tx in block_txs:
-            suspects += self.remove(txid(tx))
         for block in chain.blocks[self._checked_height + 1:]:
             for tx in block.transactions:
+                suspects += self.remove(txid(tx))
                 for inp in tx.inputs:
                     holder = self.spent_by.get(inp.outpoint)
                     if holder is not None:

@@ -169,6 +169,13 @@ def _flag(value, where=None, known=None) -> bool:
     return value
 
 
+def _name(value, where=None, known=None) -> str:
+    """A registry name: ``registry.MAX_NAME_LEN`` UTF-8 bytes at most."""
+    if len(_text(value).encode()) > registry_mod.MAX_NAME_LEN:
+        raise ValueError(f"longer than {registry_mod.MAX_NAME_LEN} bytes")
+    return value
+
+
 def _datum(value, where=None, known=None) -> str:
     if not _text(value):
         raise ValueError("a datum must not be empty")
@@ -221,7 +228,7 @@ def _expression(value, where=None, known=None) -> dict:
 _TYPES = {
     "int": _int, "count": _count, "positive": _positive,
     "number": _number, "time": _time,
-    "text": _text, "datum": _datum,
+    "text": _text, "name": _name, "datum": _datum,
     "flag": _flag, "funding": _funding,
     "object": _object, "objects": _objects,
     **{namespace: _member(namespace) for namespace in _NAMESPACES},
@@ -273,11 +280,11 @@ CONFIG_FIELDS = _fields("rng_seed?:int mean_block_interval_s?:number "
 ACTOR_FIELDS = _fields(
     "id:text kind:text funding=0:funding node=0:int price=100:count confirmations=1:positive "
     "replication?:positive store_id?:count byzantine?:flag datum=datum:datum "
-    "name?:text data_type?:text endpoint?:text"
+    "name?:name data_type?:text endpoint?:text"
 )
 OP_FIELDS = {op: _fields("at=0:time " + spec) for op, spec in {
-    "register_sensor": "actor:payer name?:text data_type?:text price?:count endpoint?:text",
-    "update_record": "actor:payer name:text data_type?:text price?:count endpoint?:text",
+    "register_sensor": "actor:payer name?:name data_type?:text price?:count endpoint?:text",
+    "update_record": "actor:payer name:name data_type?:text price?:count endpoint?:text",
     "purchase": "actor:requester sensor:text amount?:count",
     "transfer": "from:payer to:actor amount:count",
     "open_channel": "actor:payer sensor:actor deposit:count expiry_height:positive "
@@ -327,6 +334,10 @@ def parse_scenario(text: str, seed: Optional[int] = None) -> Scenario:
                 raise ParseError(f"actor {actor['id']!r}: bad 'store_id': "
                                  f"{store_id} is another store's")
             store_ids.add(store_id)
+    # How many stores hold each anchored datum and registry record of an actor:
+    # two, or one where fewer than two stores exist.
+    for actor in doc["actors"]:
+        actor.setdefault("replication", min(2, max(1, len(store_ids))))
     clock = 0.0
     for i, step in enumerate(doc["steps"]):
         op = step.get("op")
@@ -365,7 +376,6 @@ def parse_scenario(text: str, seed: Optional[int] = None) -> Scenario:
 @dataclass
 class _Actor:
     actor_id: str
-    kind: str
     keypair: crypto.KeyPair
     node: Node
     spec: dict
@@ -390,6 +400,7 @@ class ScenarioRun:
         self._pledges: dict[str, list[contracts.Pledge]] = {}
         self._bets: dict[str, contracts.OracleBet] = {}
         self._actors: dict[str, _Actor] = {}
+        self._stores: list[datastore.Store] = []
 
     # --- setup --------------------------------------------------------------
 
@@ -409,7 +420,7 @@ class ScenarioRun:
         genesis = (Transaction(inputs=(), outputs=tuple(outputs)),) if outputs else ()
         self.sim = Simulation(self.scenario.config, genesis)
 
-        stores = [
+        self._stores = stores = [
             datastore.Store(store_id=a["store_id"], byzantine=a.get("byzantine", False))
             for a in self.scenario.actors
             if a["kind"] == "store"
@@ -421,7 +432,7 @@ class ScenarioRun:
         store_iter = iter(stores)
         for a in self.scenario.actors:
             node = self.sim.nodes[a["node"] % len(self.sim.nodes)]
-            actor = _Actor(a["id"], a["kind"], keypairs[a["id"]], node, a)
+            actor = _Actor(a["id"], keypairs[a["id"]], node, a)
             if a["kind"] == "store":
                 actor.store = next(store_iter)
             elif a["kind"] == "sensor":
@@ -432,7 +443,7 @@ class ScenarioRun:
                     datum_source=lambda t, d=a["datum"]: d.encode(),
                     confirmation_depth=a["confirmations"],
                     stores=stores,
-                    replication=a.get("replication", min(2, max(1, len(stores)))),
+                    replication=a["replication"],
                     actor_id=a["id"],
                 )
                 actor.wallet = actor.sensor.wallet
@@ -488,7 +499,7 @@ class ScenarioRun:
             price_per_datum=step.get("price", spec["price"]),
             endpoint=step.get("endpoint", spec.get("endpoint", "inline")),
         )
-        registry_mod.register_sensor(actor.wallet, record)
+        registry_mod.register_sensor(actor.wallet, record, self._stores, spec["replication"])
 
     def _step_update_record(self, step: dict) -> None:
         actor = self._actors[step["actor"]]
@@ -501,7 +512,8 @@ class ScenarioRun:
             price_per_datum=step.get("price", current.price_per_datum),
             endpoint=step.get("endpoint", current.endpoint),
         )
-        registry_mod.update_record(actor.wallet, record)
+        registry_mod.update_record(actor.wallet, record, self._stores,
+                                   actor.spec["replication"])
 
     def _step_purchase(self, step: dict) -> None:
         actor = self._actors[step["actor"]]

@@ -41,6 +41,10 @@ class SimConfig:
             raise ValueError("propagation_delay_s must be non-negative and finite")
         if self.num_nodes < 1:
             raise ValueError("need at least one node")
+        if self.max_block_size < 1:  # else every block is empty
+            raise ValueError("max_block_size must be at least 1")
+        if self.default_fee < 0:  # nodes reject a negative fee
+            raise ValueError("default_fee must not be negative")
 
 
 def next_block_delay(rng: random.Random, mean: float) -> float:
@@ -74,7 +78,7 @@ class Node:
 
     def deliver_block(self, block: Block) -> None:
         self.known_height = block.height
-        self.mempool.drop_confirmed(block.transactions, self.sim.chain)
+        self.mempool.drop_confirmed(self.sim.chain)
         for hook in list(self.on_block):
             hook(block)
 

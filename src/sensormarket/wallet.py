@@ -84,12 +84,7 @@ class Wallet:
                 return picked
         raise InsufficientFunds(f"need {needed}, wallet holds {total}")
 
-    def create_tx(
-        self,
-        payments: list[TxOutput],
-        fee: int,
-        lock_height: Optional[int] = None,
-    ) -> Transaction:
+    def create_tx(self, payments: list[TxOutput], fee: int) -> Transaction:
         """Build, sign and account for a transaction paying ``payments``.
 
         Inputs are deducted from the wallet immediately and any change output
@@ -105,7 +100,6 @@ class Wallet:
         tx = Transaction(
             inputs=tuple(TxInput(op[0], op[1]) for op, _ in coins),
             outputs=tuple(outputs),
-            lock_height=lock_height,
         )
         tx = sign_inputs(tx, self.keypair)
         tid = txid(tx)

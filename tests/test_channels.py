@@ -26,13 +26,13 @@ FEE = 50
 DEPOSIT = 20_000
 
 
-def open_channel(expiry=1_000, funds=50_000, **kwargs):
+def open_channel(expiry=1_000, funds=50_000, datum_source=lambda t: b"temp_c=21"):
     funder_kp, sensor_kp = make_keypair(30), make_keypair(31)
     sim = make_sim([(funder_kp, funds), (sensor_kp, 1_000)], num_nodes=2)
     funder_wallet = Wallet(funder_kp, sim.nodes[0])
     channel = Channel(
         funder_wallet, sensor_kp,
-        deposit=DEPOSIT, expiry_height=expiry, **kwargs,
+        deposit=DEPOSIT, expiry_height=expiry, datum_source=datum_source,
     )
     return sim, channel, funder_wallet, sensor_kp
 
@@ -43,9 +43,9 @@ def chain_tx_count(sim):
 
 def test_open_confirms_funding():
     sim, channel, wallet, _ = open_channel()
-    assert not channel.funded
+    assert sim.chain.confirmations(channel.funding_txid) is None
     run_blocks(sim, 3)
-    assert channel.funded
+    assert sim.chain.confirmations(channel.funding_txid) >= 1
     assert chain_tx_count(sim) == 1
     assert channel.state.sequence == 0
     assert channel.state.balance_requester == DEPOSIT
@@ -65,7 +65,7 @@ def test_pay_moves_balance_off_chain():
         1, DEPOSIT - 250, 250
     )
     channel.pay(100)
-    assert channel.paid_total == 350
+    assert channel.summary()["paid_total"] == 350
     assert chain_tx_count(sim) == 1  # still only the funding transaction
 
 
@@ -185,10 +185,10 @@ def test_datum_per_payment():
 
 
 def test_datum_is_sealed_to_its_sequence_and_channel():
-    sim, channel, _, _ = open_channel(datum_source=lambda t: b"temp_c=21")
+    sim, channel, _, _ = open_channel()
     run_blocks(sim, 2)
     channel.pay(10)
-    sensor_side, funder_side = channel._datum_sessions
+    sensor_side, funder_side = channel._sensor_session, channel._funder_session
     sealed = sensor_side.seal(2, b"temp_c=22", channel.funding_txid)
     assert funder_side.open(2, sealed, channel.funding_txid) == b"temp_c=22"
     flipped = bytes([sealed[0] ^ 1]) + sealed[1:]

@@ -68,7 +68,7 @@ def test_verify_rejects_any_corruption():
 def test_encrypt_decrypt_roundtrip():
     kp = make_keypair(9)
     plaintext = b"pm25=12.5"
-    envelope = crypto.encrypt_for(kp.public_key, plaintext)
+    envelope = crypto.encrypt_for(kp.public_key, plaintext, ephemeral_seed=seed_bytes(92))
     assert crypto.decrypt(kp, envelope) == plaintext
 
 
@@ -83,7 +83,7 @@ def test_encrypt_deterministic_with_explicit_seed():
 
 def test_decrypt_with_wrong_key_fails():
     kp, other = make_keypair(11), make_keypair(12)
-    envelope = crypto.encrypt_for(kp.public_key, b"secret")
+    envelope = crypto.encrypt_for(kp.public_key, b"secret", ephemeral_seed=seed_bytes(93))
     with pytest.raises(DecryptFailed):
         crypto.decrypt(other, envelope)
 
@@ -158,7 +158,7 @@ def test_session_refuses_another_key_number_or_associated_data():
 
 def test_empty_plaintext_rejected():
     with pytest.raises(ValueError):
-        crypto.encrypt_for(make_keypair(15).public_key, b"")
+        crypto.encrypt_for(make_keypair(15).public_key, b"", ephemeral_seed=seed_bytes(94))
 
 
 def test_key_digest_avalanche():

@@ -5,12 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from sensormarket import crypto, payload as payload_tags
 from sensormarket.datastore import Anchor, Store, fetch, seal, store, unseal, verify_anchor
-from sensormarket.errors import (
-    AllReplicasBadOrMissing,
-    AnchorMismatch,
-    MalformedTx,
-    ReplicationUnsatisfiable,
-)
+from sensormarket.errors import AnchorMismatch, MalformedTx, ReplicationUnsatisfiable
 from sensormarket.ledger import MAX_PAYLOAD
 
 
@@ -63,9 +58,9 @@ def test_fetch_skips_missing_stores():
 def test_all_replicas_bad_or_missing():
     slist = stores(2, byzantine={0, 1})
     anchor = store(slist, b"data", replication=2)
-    with pytest.raises(AllReplicasBadOrMissing):
+    with pytest.raises(AnchorMismatch):
         fetch(anchor, by_id(slist))
-    with pytest.raises(AllReplicasBadOrMissing):
+    with pytest.raises(AnchorMismatch):
         fetch(anchor, {})
 
 
@@ -73,7 +68,7 @@ def test_explicit_tamper_is_detected():
     slist = stores(1)
     anchor = store(slist, b"important", replication=1)
     slist[0].tamper(anchor.blob_id, position=3)
-    with pytest.raises(AllReplicasBadOrMissing):
+    with pytest.raises(AnchorMismatch):
         fetch(anchor, by_id(slist))
 
 

@@ -8,7 +8,7 @@ from sensormarket import exchange, payload as payload_tags
 from sensormarket.datastore import Store
 from sensormarket.errors import NoSensorFunds
 from sensormarket.exchange import MARKER_VALUE, RequesterActor, SensorActor
-from sensormarket.ledger import txid
+from sensormarket.ledger import first_signer, txid
 
 from conftest import make_keypair, make_sim, run_blocks
 
@@ -32,6 +32,18 @@ def setup_pair(req_funds=100_000, sensor_funds=5_000, datum=b"pm25=12.5",
         sim.nodes[0], req_kp, stores=stores,
     )
     return sim, requester, sensor
+
+
+def delivery_tags(sim, sensor):
+    """The datum payload tag of each delivery the sensor put on chain, in chain order."""
+    datum_tags = (payload_tags.DATUM_INLINE, payload_tags.DATUM_ANCHORED)
+    return [out.payload[0] for block in sim.chain.blocks for tx in block.transactions
+            if first_signer(tx) == sensor.keypair.public_key
+            for out in tx.outputs if out.payload and out.payload[0] in datum_tags]
+
+
+def failed_deliveries(sim):
+    return [e["error"] for e in sim.events_log if e["kind"] == "delivery_failed"]
 
 
 def test_happy_path_two_transactions():
@@ -91,7 +103,7 @@ def test_large_datum_goes_through_datastore():
     requester.initiate_purchase(sensor.wallet.key_digest, PRICE)
     run_blocks(sim, 8)
     assert requester.deliveries[0].plaintext == datum
-    assert sensor.fulfillments[0]["mode"] == "anchored"
+    assert delivery_tags(sim, sensor) == [payload_tags.DATUM_ANCHORED]
     # Two replicas actually hold the sealed blob.
     assert sum(1 for s in stores if s.blobs) == 2
 
@@ -100,7 +112,7 @@ def test_small_datum_stays_inline():
     sim, requester, sensor = setup_pair()
     requester.initiate_purchase(sensor.wallet.key_digest, PRICE)
     run_blocks(sim, 8)
-    assert sensor.fulfillments[0]["mode"] == "inline"
+    assert delivery_tags(sim, sensor) == [payload_tags.DATUM_INLINE]
 
 
 def test_all_replicas_corrupt_leaves_request_outstanding():
@@ -111,10 +123,10 @@ def test_all_replicas_corrupt_leaves_request_outstanding():
     run_blocks(sim, 8)
     assert not requester.deliveries
     assert len(requester.outstanding) == 1
-    assert requester.failures and requester.failures[0]["error"] == "AnchorMismatch"
-    # The failure is recorded exactly once even as more blocks arrive.
+    assert failed_deliveries(sim) == ["AnchorMismatch"]
+    # The failure is logged exactly once even as more blocks arrive.
     run_blocks(sim, 5)
-    assert len(requester.failures) == 1
+    assert failed_deliveries(sim) == ["AnchorMismatch"]
 
 
 def test_honest_replica_saves_the_fetch():
@@ -138,7 +150,7 @@ def test_malformed_datum_payload_is_a_failed_delivery(tag):
     )
     sim.broadcast(bogus, sim.nodes[1])
     run_blocks(sim, 4)
-    assert [f["error"] for f in requester.failures] == ["MalformedTx"]
+    assert failed_deliveries(sim) == ["MalformedTx"]
     assert [r.payment_txid for r in requester.outstanding] == [txid(payment)]
     assert not requester.deliveries
 
@@ -151,7 +163,7 @@ def test_broke_sensor_logs_and_keeps_running():
     unfunded = [e for e in sim.events_log if e["kind"] == "sensor_unfunded"]
     assert unfunded and {e["payment_txid"] for e in unfunded} == {txid(payment).hex()}
     assert unfunded[0]["sensor"] == sensor.actor_id
-    assert not sensor.fulfillments
+    assert not delivery_tags(sim, sensor)
     assert [n.payment_txid for n in sensor.detect_payment()] == [txid(payment)]
 
 
@@ -169,7 +181,9 @@ def test_failed_fulfilment_stores_no_replica():
         with pytest.raises(NoSensorFunds):
             sensor.fulfill(notice)
     assert [len(s.blobs) for s in stores] == [0, 0, 0]
-    assert not sensor.fulfillments
+    assert sensor.detect_payment() == [notice]
+    run_blocks(sim, 2)
+    assert not delivery_tags(sim, sensor)
 
 
 def test_unrelated_payment_between_actors_is_ignored():
@@ -189,14 +203,14 @@ def test_failed_fulfilment_is_retried_once_funded():
     sim, requester, sensor = setup_pair(sensor_funds=10, default_fee=500)
     payment = requester.initiate_purchase(sensor.wallet.key_digest, PRICE)
     run_blocks(sim, 8)
-    assert not sensor.fulfillments
+    assert not delivery_tags(sim, sensor)
     # The top-up funds the sensor, and is itself a payment it answers.
     top_up = requester.wallet.pay(sensor.wallet.key_digest, 2_000, fee=500)
     sim.broadcast(top_up, sim.nodes[0])
     run_blocks(sim, 8)
-    paid = [f["payment_txid"] for f in sensor.fulfillments]
-    assert paid.count(txid(payment).hex()) == 1
-    assert paid.count(txid(top_up).hex()) == 1
+    # One delivery each for the payment and the top-up, and neither is still pending.
+    assert len(delivery_tags(sim, sensor)) == 2
+    assert not sensor.detect_payment()
     assert [d.payment_txid for d in requester.deliveries] == [txid(payment)]
 
 

@@ -61,9 +61,6 @@ class RescanWallet(Wallet):
 class RescanSensor(SensorActor):
     def _scan_payments(self, block):
         for tx in block.transactions:
-            tid = txid(tx)
-            if tid in self.handled:
-                continue
             payer_key = first_signer(tx)
             if payer_key is None or crypto.key_digest(payer_key) == self.wallet.key_digest:
                 continue
@@ -73,9 +70,8 @@ class RescanSensor(SensorActor):
             if amount == 0:
                 continue
             if amount < self.price_per_datum:
-                self.handled.add(tid)
                 continue
-            self._pending.append(PaymentNotice(tid, payer_key, amount, block.height))
+            self._pending.append(PaymentNotice(txid(tx), payer_key))
 
 
 class RescanRequester(RequesterActor):
@@ -117,7 +113,8 @@ class Market:
             self.sensors.append(twins)
         self.requesters = []
         for kp in KEYS[2:]:
-            twins = [cls(node, kp) for cls in (RequesterActor, RescanRequester)]
+            twins = [cls(node, kp, actor_id=f"{cls.__name__}/{kp.key_digest.hex()}")
+                     for cls in (RequesterActor, RescanRequester)]
             for requester in twins:
                 requester.outstanding = [
                     _Request(bytes([n]) * 32, seller.key_digest, 0.0, 0)
@@ -160,6 +157,11 @@ class Market:
         self.chain.apply_block(block)
         return block
 
+    def failed_deliveries(self, requester) -> list[dict]:
+        """The requester's ``delivery_failed`` events, less its id."""
+        return [{k: v for k, v in e.items() if k != "requester"} for e in self.sim.events_log
+                if e["kind"] == "delivery_failed" and e["requester"] == requester.actor_id]
+
     def check(self) -> None:
         for block in self.chain.blocks:
             for kp in KEYS:
@@ -169,10 +171,10 @@ class Market:
         for wallet, twin in self.wallets:
             assert wallet.utxos == twin.utxos
         for sensor, twin in self.sensors:
-            assert (sensor._pending, sensor.handled) == (twin._pending, twin.handled)
+            assert sensor._pending == twin._pending
         for requester, twin in self.requesters:
             assert requester.deliveries == twin.deliveries
-            assert requester.failures == twin.failures
+            assert self.failed_deliveries(requester) == self.failed_deliveries(twin)
             assert requester.outstanding == twin.outstanding
 
 

@@ -119,7 +119,7 @@ def test_drop_confirmed_evicts_conflicts_and_orphans():
     # A different spend of loser's input confirms instead.
     rival = simple_spend(ops[1], fee=20, value=1000, to=make_keypair(9))
     mine(chain, [confirmed, rival], 30)
-    pool.drop_confirmed((confirmed, rival), chain)
+    pool.drop_confirmed(chain)
     # loser conflicts with rival; orphan_parent's parent is gone too.
     assert len(pool) == 0
 

@@ -5,6 +5,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sensormarket import payload as payload_tags
 from sensormarket.cli import bundled_scenarios, main
 from sensormarket.errors import ParseError
 from sensormarket.ledger import block_hash, deserialize_block
@@ -159,10 +160,35 @@ def test_parse_rejects_structural_problems():
          "assertion 0: bad 'min': expected a number, got bool"),
         (_doc(assertions=[{"path": "scenario", "max": 1e400}]),
          "assertion 0: bad 'max': inf is not finite"),
+        # A fee the nodes would reject, and a block size that admits no tx.
+        (_doc(config={"default_fee": -10}), "bad config: default_fee must not be negative"),
+        (_doc(config={"max_block_size": 0}), "bad config: max_block_size must be at least 1"),
+        (_doc(config={"max_block_size": -1}), "bad config: max_block_size must be at least 1"),
     ]
     for text, message in cases:
         with pytest.raises(ParseError, match=message):
             parse_scenario(text)
+
+
+def test_sensor_names_longer_than_the_registry_limit_are_refused():
+    # 65 ASCII bytes, and 33 two-byte characters: both over the 64-byte limit.
+    sensor = {"id": "a", "kind": "sensor"}
+    for long_name in ("n" * 65, "é" * 33):
+        cases = [
+            (_doc(actors=[{**sensor, "name": long_name}], steps=[]),
+             "actor 'a': bad 'name': longer than 64 bytes"),
+            (_doc(actors=[sensor], steps=[{"at": 0, "op": "register_sensor", "actor": "a",
+                                           "name": long_name}]),
+             "step 0 'register_sensor': bad 'name': longer than 64 bytes"),
+            (_doc(actors=[sensor], steps=[{"at": 0, "op": "update_record", "actor": "a",
+                                           "name": long_name}]),
+             "step 0 'update_record': bad 'name': longer than 64 bytes"),
+        ]
+        for text, message in cases:
+            with pytest.raises(ParseError, match=message):
+                parse_scenario(text)
+    longest = parse_scenario(_doc(actors=[{**sensor, "name": "é" * 32}], steps=[]))
+    assert longest.actors[0]["name"] == "é" * 32
 
 
 def test_escrow_amount_is_checked_against_the_configured_fee():
@@ -238,6 +264,36 @@ def test_sensor_that_cannot_seal_its_datum_does_not_end_the_run(store_actors):
     assert event["sensor"] == "pm25"
     assert "exceeds" in event["error"]
     assert all(not a.store.blobs for a in run._actors.values() if a.store is not None)
+
+
+def test_long_scenario_record_is_anchored_on_the_run_stores():
+    # A 57-character endpoint makes each record too long for a payload, so the
+    # registration and the update are sealed with the run's two stores.
+    endpoint = "https://sensors.example.org/air-quality/pm25/station-0042"
+    doc = {
+        "name": "long_record",
+        "actors": [
+            {"id": "pm25", "kind": "sensor", "funding": 1000, "endpoint": endpoint},
+            {"id": "alice", "kind": "requester", "funding": 1000},
+            {"id": "s0", "kind": "store"}, {"id": "s1", "kind": "store"},
+        ],
+        "steps": [{"at": 0, "op": "register_sensor", "actor": "pm25"},
+                  {"at": 0, "op": "purchase", "actor": "alice", "sensor": "pm25"},
+                  {"at": 6000, "op": "update_record", "actor": "pm25", "name": "pm25",
+                   "endpoint": endpoint + "/v2"}],
+    }
+    run = ScenarioRun(parse_scenario(json.dumps(doc)))
+    report = run.execute()
+    [row] = report["registry"]
+    assert row["endpoint"] == endpoint + "/v2"
+    registration_txid = bytes.fromhex(row["registration_txid"])
+    registration = run.sim.chain.find_tx(registration_txid)
+    assert registration.outputs[0].payload[0] == payload_tags.REGISTRY_REGISTER_ANCHORED
+    assert row["last_update_height"] > run.sim.chain.tx_index[registration_txid][0]
+    stores = [a.store for a in run._actors.values() if a.store is not None]
+    assert [len(s.blobs) for s in stores] == [2, 2]  # the two records, on both stores
+    assert report["exchanges"]["fulfilled"] == 1
+    assert report["exchanges"]["rows"][0]["plaintext"] == "datum"
 
 
 def test_registry_dump_lists_records():

@@ -42,6 +42,12 @@ def test_config_validation():
     for seed in (-1, 2**64):
         with pytest.raises(ValueError, match="rng_seed"):
             SimConfig(rng_seed=seed)
+    for size in (0, -1):  # no tx would fit a block
+        with pytest.raises(ValueError, match="max_block_size"):
+            SimConfig(max_block_size=size)
+    with pytest.raises(ValueError, match="default_fee"):
+        SimConfig(default_fee=-10)
+    assert SimConfig(default_fee=0, max_block_size=1).default_fee == 0
 
 
 def test_labeled_rng_streams_are_stable_and_independent():
