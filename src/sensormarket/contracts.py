@@ -92,13 +92,17 @@ def escrow_release(
     The signers are key pairs, which need not hold a wallet, so the release is
     broadcast from ``node``.  Signature validity is enforced by ledger
     validation on broadcast; calling this with keys outside the escrow set
-    produces a transaction the chain rejects.
+    produces a transaction the chain rejects.  The agreement's status follows
+    the chain: it becomes ``Released`` (paid to the seller) or ``Refunded``
+    once the release confirms at ``node``, and a rejected release leaves it
+    ``Funded``.
     """
     tx = build_escrow_spend(agreement, destination_digest, node.sim.config.default_fee)
     tx = sign_inputs(tx, signer_a, signer_b)
     node.sim.broadcast(tx, node)
     seller_digest = crypto.key_digest(agreement.seller_key)
-    agreement.status = "Released" if destination_digest == seller_digest else "Refunded"
+    status = "Released" if destination_digest == seller_digest else "Refunded"
+    node.when_confirmed(txid(tx), 1, lambda: setattr(agreement, "status", status))
     return tx
 
 

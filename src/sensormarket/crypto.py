@@ -73,28 +73,6 @@ class KeyPair:
         return _encryption_key(self.seed)
 
 
-@dataclass(frozen=True)
-class CipherEnvelope:
-    ephemeral_key: bytes
-    nonce: bytes
-    ciphertext: bytes
-    tag: bytes
-
-    def serialize(self) -> bytes:
-        return self.ephemeral_key + self.nonce + self.tag + self.ciphertext
-
-    @classmethod
-    def deserialize(cls, data: bytes) -> "CipherEnvelope":
-        if len(data) < 32 + AEAD_NONCE_LEN + AEAD_TAG_LEN:
-            raise MalformedTx("cipher envelope too short")
-        return cls(
-            ephemeral_key=data[:32],
-            nonce=data[32:32 + AEAD_NONCE_LEN],
-            tag=data[44:44 + AEAD_TAG_LEN],
-            ciphertext=data[60:],
-        )
-
-
 def _signing_key(seed: bytes) -> Ed25519PrivateKey:
     return Ed25519PrivateKey.from_private_bytes(seed)
 
@@ -131,15 +109,14 @@ def verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
         return False
 
 
-def _session_key(shared: bytes, eph_pub: bytes, recipient_x_pub: bytes) -> tuple[bytes, bytes]:
-    okm = hashlib.sha256(b"sensormarket/session" + shared + eph_pub + recipient_x_pub).digest()
-    nonce = hashlib.sha256(b"sensormarket/nonce" + shared + eph_pub).digest()[:AEAD_NONCE_LEN]
-    return okm, nonce
+def _session_key(shared: bytes, eph_pub: bytes, recipient_x_pub: bytes) -> bytes:
+    return hashlib.sha256(b"sensormarket/session" + shared + eph_pub + recipient_x_pub).digest()
 
 
 def _agree_to(public_key: bytes, ephemeral_seed: bytes) -> tuple[bytes, bytes, bytes]:
     """Sender side of one X25519 agreement with ``public_key``: the ephemeral
-    public key to hand over, and the session key and nonce derived from it."""
+    public key to hand over, the shared secret, and the session key derived
+    from them."""
     if len(public_key) != PUBKEY_LEN:
         raise MalformedTx("recipient public key has wrong length")
     eph_priv = X25519PrivateKey.from_private_bytes(
@@ -148,11 +125,11 @@ def _agree_to(public_key: bytes, ephemeral_seed: bytes) -> tuple[bytes, bytes, b
     eph_pub = eph_priv.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
     recipient_x_pub = public_key[32:]
     shared = eph_priv.exchange(X25519PublicKey.from_public_bytes(recipient_x_pub))
-    return (eph_pub, *_session_key(shared, eph_pub, recipient_x_pub))
+    return eph_pub, shared, _session_key(shared, eph_pub, recipient_x_pub)
 
 
-def _agree_from(keypair: KeyPair, ephemeral_key: bytes) -> tuple[bytes, bytes]:
-    """Recipient side of ``_agree_to``: the same session key and nonce."""
+def _agree_from(keypair: KeyPair, ephemeral_key: bytes) -> bytes:
+    """Recipient side of ``_agree_to``: the same session key."""
     try:
         ephemeral = X25519PublicKey.from_public_bytes(ephemeral_key)
         shared = keypair.encryption_key.exchange(ephemeral)
@@ -169,22 +146,25 @@ def _open(aead: ChaCha20Poly1305, nonce: bytes, sealed: bytes,
         raise DecryptFailed("authentication failed") from None
 
 
-def encrypt_for(public_key: bytes, plaintext: bytes, ephemeral_seed: bytes) -> CipherEnvelope:
+def encrypt_for(public_key: bytes, plaintext: bytes, ephemeral_seed: bytes) -> bytes:
+    """``plaintext`` sealed for ``public_key`` as one envelope:
+    ``ephemeral_key(32) || nonce(12) || tag(16) || ciphertext``."""
     if not plaintext:
         raise ValueError("plaintext must be non-empty")
-    eph_pub, key, nonce = _agree_to(public_key, ephemeral_seed)
+    eph_pub, shared, key = _agree_to(public_key, ephemeral_seed)
+    nonce = hashlib.sha256(b"sensormarket/nonce" + shared + eph_pub).digest()[:AEAD_NONCE_LEN]
     sealed = ChaCha20Poly1305(key).encrypt(nonce, plaintext, None)
-    return CipherEnvelope(
-        ephemeral_key=eph_pub,
-        nonce=nonce,
-        ciphertext=sealed[:-AEAD_TAG_LEN],
-        tag=sealed[-AEAD_TAG_LEN:],
-    )
+    return eph_pub + nonce + sealed[-AEAD_TAG_LEN:] + sealed[:-AEAD_TAG_LEN]
 
 
-def decrypt(keypair: KeyPair, envelope: CipherEnvelope) -> bytes:
-    key, _ = _agree_from(keypair, envelope.ephemeral_key)
-    return _open(ChaCha20Poly1305(key), envelope.nonce, envelope.ciphertext + envelope.tag, None)
+def decrypt(keypair: KeyPair, envelope: bytes) -> bytes:
+    """The plaintext of an ``encrypt_for`` envelope; MalformedTx if it is
+    shorter than its 60-byte header, DecryptFailed if it was not sealed for
+    ``keypair``."""
+    if len(envelope) < 60:
+        raise MalformedTx("cipher envelope too short")
+    key = _agree_from(keypair, envelope[:32])
+    return _open(ChaCha20Poly1305(key), envelope[32:44], envelope[60:] + envelope[44:60], None)
 
 
 class Session:
@@ -209,14 +189,13 @@ class Session:
 def session_to(public_key: bytes, ephemeral_seed: bytes) -> tuple[bytes, Session]:
     """The ephemeral public key that the recipient opens the session with
     (``session_from``), and the sender's session with ``public_key``."""
-    eph_pub, key, _ = _agree_to(public_key, ephemeral_seed)
+    eph_pub, _, key = _agree_to(public_key, ephemeral_seed)
     return eph_pub, Session(key)
 
 
 def session_from(keypair: KeyPair, ephemeral_key: bytes) -> Session:
     """The recipient's side of the session ``session_to`` opened to ``keypair``."""
-    key, _ = _agree_from(keypair, ephemeral_key)
-    return Session(key)
+    return Session(_agree_from(keypair, ephemeral_key))
 
 
 def keypair_from_label(label: str) -> KeyPair:

@@ -4,6 +4,9 @@ Stores are in-simulation actors; a byzantine store silently corrupts what it
 holds.  The anchor carried in a transaction payload is the content digest
 plus up to 8 two-byte store locators, which keeps it inside the 80-byte
 payload cap.
+
+It also owns the payload codec: one tag byte, naming the kind and whether the
+content or its anchor follows, then that content or anchor.
 """
 
 from __future__ import annotations
@@ -14,9 +17,14 @@ from typing import Callable, Optional
 from . import crypto, wire
 from .errors import AnchorMismatch, MalformedTx, ReplicationUnsatisfiable
 from .ledger import MAX_PAYLOAD
-from .payload import ANCHORED
 
 MAX_LOCATORS = 8
+
+# The payload kinds, and each kind's (inline, anchored) tag bytes on the chain.
+DATUM, REGISTER, UPDATE = "datum", "register", "update"
+_TAGS = {DATUM: (0x01, 0x02), REGISTER: (0x03, 0x05), UPDATE: (0x04, 0x06)}
+_KINDS = {tag: k for k, tags in _TAGS.items() for tag in tags}
+_ANCHORED = frozenset(anchored for _, anchored in _TAGS.values())
 
 
 @dataclass
@@ -85,13 +93,13 @@ def store(stores: list[Store], content: bytes, replication: int) -> Anchor:
 
 def fetch(
     anchor: Anchor,
-    stores_by_id: dict[int, Store],
+    stores: list[Store],
     on_tamper: Optional[Callable[[int], None]] = None,
 ) -> bytes:
-    """Return content from the first replica matching the anchored digest;
-    ``AnchorMismatch`` if none does."""
+    """Return content from the first replica, in locator order, matching the
+    anchored digest; ``AnchorMismatch`` if none does."""
     for loc in anchor.locators:
-        s = stores_by_id.get(loc)
+        s = next((held for held in stores if held.store_id == loc), None)
         if s is None:
             continue
         content = s.get(anchor.blob_id)
@@ -111,18 +119,24 @@ def verify_anchor(content: bytes, anchor: Anchor) -> bool:
     return crypto.digest(content) == anchor.blob_id
 
 
-def seal(content: bytes, inline_tag: int, anchored_tag: int,
-         stores: list[Store], replication: int) -> bytes:
-    """``inline_tag`` and ``content`` if that fits ``MAX_PAYLOAD``, else ``anchored_tag``
-    and the anchor of ``content`` stored on the first ``replication`` stores."""
+def seal(content: bytes, kind: str, stores: list[Store], replication: int) -> bytes:
+    """A payload of ``kind``: its inline tag and ``content`` if that fits
+    ``MAX_PAYLOAD``, else its anchored tag and the anchor of ``content``
+    stored on the first ``replication`` stores."""
+    inline, anchored = _TAGS[kind]
     if 1 + len(content) <= MAX_PAYLOAD:
-        return bytes([inline_tag]) + content
-    return bytes([anchored_tag]) + store(stores, content, replication).serialize()
+        return bytes([inline]) + content
+    return bytes([anchored]) + store(stores, content, replication).serialize()
 
 
-def unseal(payload: bytes, stores_by_id: dict[int, Store],
+def kind(payload: Optional[bytes]) -> Optional[str]:
+    """The kind of a payload ``seal`` made; None for any other payload."""
+    return _KINDS.get(payload[0]) if payload else None
+
+
+def unseal(payload: bytes, stores: list[Store],
            on_tamper: Optional[Callable[[int], None]] = None) -> bytes:
     """The content ``seal`` put in ``payload``; ``AnchorMismatch`` if no replica matches."""
-    if payload[0] not in ANCHORED:
+    if payload[0] not in _ANCHORED:
         return payload[1:]
-    return fetch(Anchor.deserialize(payload[1:]), stores_by_id, on_tamper)
+    return fetch(Anchor.deserialize(payload[1:]), stores, on_tamper)

@@ -107,10 +107,6 @@ class UnknownExpression(SensorMarketError):
 
 # --- registry ---------------------------------------------------------------
 
-class RecordTooLarge(SensorMarketError):
-    pass
-
-
 class UnknownName(SensorMarketError):
     pass
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from . import crypto, datastore, payload as payload_tags
+from . import crypto, datastore
 from .errors import (
     AnchorMismatch,
     DecryptFailed,
@@ -142,8 +142,7 @@ class SensorActor:
         envelope = crypto.encrypt_for(
             notice.payer_public_key, datum, ephemeral_seed=self._rng.randbytes(32)
         )
-        data = datastore.seal(envelope.serialize(), payload_tags.DATUM_INLINE,
-                              payload_tags.DATUM_ANCHORED, self.stores, self.replication)
+        data = datastore.seal(envelope, datastore.DATUM, self.stores, self.replication)
         payer_digest = crypto.key_digest(notice.payer_public_key)
         tx = self.wallet.send([TxOutput(MARKER_VALUE, PayToKeyHash(payer_digest), data)])
         self._pending.remove(notice)
@@ -172,7 +171,7 @@ class RequesterActor:
         self.sim = node.sim
         self.node = node
         self.keypair = keypair
-        self.stores = {s.store_id: s for s in (stores or [])}
+        self.stores = stores or []
         self.actor_id = actor_id
         self.wallet = Wallet(keypair, node)
         self.outstanding: list[_Request] = []
@@ -206,9 +205,8 @@ class RequesterActor:
     def _try_take_delivery(
         self, tx: Transaction, tid: bytes, height: int
     ) -> Optional[DatumDelivery]:
-        datum_tags = (payload_tags.DATUM_INLINE, payload_tags.DATUM_ANCHORED)
         data = next((out.payload for _, out in outputs_paying(tx, self.wallet.key_digest)
-                     if out.payload and out.payload[0] in datum_tags), None)
+                     if datastore.kind(out.payload) == datastore.DATUM), None)
         if data is None:
             return None
         sender_key = first_signer(tx)
@@ -221,9 +219,9 @@ class RequesterActor:
         if request is None:
             return None
         try:
-            sealed = datastore.unseal(data, self.stores, on_tamper=lambda loc: self.sim.log_event(
+            envelope = datastore.unseal(data, self.stores, on_tamper=lambda loc: self.sim.log_event(
                 "replica_tampered", requester=self.actor_id, store=loc))
-            plaintext = crypto.decrypt(self.keypair, crypto.CipherEnvelope.deserialize(sealed))
+            plaintext = crypto.decrypt(self.keypair, envelope)
         except (DecryptFailed, AnchorMismatch, MalformedTx) as exc:
             # Request stays outstanding; the failure is surfaced in the report.
             self.sim.log_event(

@@ -12,21 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from . import crypto, datastore, payload as payload_tags, wire
-from .errors import (
-    AnchorMismatch,
-    MalformedTx,
-    RecordTooLarge,
-    ReplicationUnsatisfiable,
-    UnknownName,
-)
+from . import crypto, datastore, wire
+from .errors import AnchorMismatch, MalformedTx, UnknownName
 from .ledger import Block, Chain, PayToKeyHash, Transaction, TxOutput, first_signer, txid
 from .wallet import Wallet
 
 MAX_NAME_LEN = 64
-_REGISTER_TAGS = (payload_tags.REGISTRY_REGISTER, payload_tags.REGISTRY_REGISTER_ANCHORED)
-_RECORD_TAGS = _REGISTER_TAGS + (payload_tags.REGISTRY_UPDATE,
-                                payload_tags.REGISTRY_UPDATE_ANCHORED)
 
 
 @dataclass(frozen=True)
@@ -86,9 +77,9 @@ class IndexEntry:
 class Registry:
     """Name index maintained incrementally from the block-apply path."""
 
-    def __init__(self, stores: Optional[dict[int, datastore.Store]] = None):
+    def __init__(self, stores: Optional[list[datastore.Store]] = None):
         self.index: dict[str, IndexEntry] = {}
-        self.stores = {} if stores is None else stores
+        self.stores = stores or []
 
     def apply_block(self, block: Block) -> None:
         registrations: dict[str, list[tuple[bytes, SensorRecord]]] = {}
@@ -99,16 +90,14 @@ class Registry:
                 continue
             signer = crypto.key_digest(signer_key)
             for out in tx.outputs:
-                if not out.payload:
-                    continue
-                tag = out.payload[0]
-                if tag not in _RECORD_TAGS:
+                kind = datastore.kind(out.payload)
+                if kind not in (datastore.REGISTER, datastore.UPDATE):
                     continue
                 try:
                     record = SensorRecord.deserialize(datastore.unseal(out.payload, self.stores))
                 except (MalformedTx, AnchorMismatch):
                     continue  # malformed or unfetchable records are simply not indexed
-                if tag in _REGISTER_TAGS:
+                if kind == datastore.REGISTER:
                     if record.owner_key_digest == signer:
                         registrations.setdefault(record.name, []).append((txid(tx), record))
                 else:
@@ -133,7 +122,7 @@ class Registry:
 
     @classmethod
     def rescan(cls, chain: Chain,
-               stores: Optional[dict[int, datastore.Store]] = None) -> "Registry":
+               stores: Optional[list[datastore.Store]] = None) -> "Registry":
         """The index rebuilt from genesis on its own: the tests' reference for
         the index that ``apply_block`` keeps block by block."""
         registry = cls(stores)
@@ -166,16 +155,11 @@ class Registry:
 def _registry_tx(
     wallet: Wallet,
     record: SensorRecord,
-    inline_tag: int,
-    anchored_tag: int,
+    kind: str,
     stores: Optional[list[datastore.Store]],
     replication: int,
 ) -> Transaction:
-    body = record.serialize()
-    try:
-        data = datastore.seal(body, inline_tag, anchored_tag, stores or [], replication)
-    except ReplicationUnsatisfiable as exc:
-        raise RecordTooLarge(f"record is {len(body)} bytes and {exc}") from exc
+    data = datastore.seal(record.serialize(), kind, stores or [], replication)
     return wallet.send([TxOutput(0, PayToKeyHash(wallet.key_digest), data)])
 
 
@@ -187,11 +171,7 @@ def register_sensor(
 ) -> Transaction:
     """Broadcast a registration; the index honors it once confirmed (and only
     if the wallet key matches the record's owner digest)."""
-    return _registry_tx(
-        wallet, record,
-        payload_tags.REGISTRY_REGISTER, payload_tags.REGISTRY_REGISTER_ANCHORED,
-        stores, replication,
-    )
+    return _registry_tx(wallet, record, datastore.REGISTER, stores, replication)
 
 
 def update_record(
@@ -200,8 +180,4 @@ def update_record(
     stores: Optional[list[datastore.Store]] = None,
     replication: int = 2,
 ) -> Transaction:
-    return _registry_tx(
-        wallet, record,
-        payload_tags.REGISTRY_UPDATE, payload_tags.REGISTRY_UPDATE_ANCHORED,
-        stores, replication,
-    )
+    return _registry_tx(wallet, record, datastore.UPDATE, stores, replication)

@@ -323,6 +323,7 @@ def parse_scenario(text: str, seed: Optional[int] = None) -> Scenario:
     if not all(isinstance(i, str) for i in ids) or len(set(ids)) != len(ids):
         raise ParseError("every actor needs a unique 'id' (a string)")
     known["actor"].update(ids)
+    actors = dict(zip(ids, doc["actors"]))
     store_ids = set()
     for i, actor in enumerate(doc["actors"]):
         _convert(actor, ACTOR_FIELDS, known, "actor {!r}: ", actor["id"])
@@ -346,6 +347,9 @@ def parse_scenario(text: str, seed: Optional[int] = None) -> Scenario:
         except (KeyError, TypeError):
             raise ParseError(f"step {i}: unknown step op {op!r}" if "op" in step
                              else f"step {i} needs an 'op'") from None
+        if op == "register_sensor" and "name" not in step and step.get("actor") in ids:
+            # The record's name, checked as a given one: the actor's, else its id.
+            step["name"] = actors[step["actor"]].get("name", step["actor"])
         _convert(step, fields, known, "step {} {!r}: ", i, op)
         if step["at"] < clock:
             raise ParseError(f"step {i} {op!r}: step times must be non-decreasing")
@@ -425,8 +429,7 @@ class ScenarioRun:
             for a in self.scenario.actors
             if a["kind"] == "store"
         ]
-        stores_by_id = {s.store_id: s for s in stores}
-        self.registry = registry_mod.Registry(stores_by_id)
+        self.registry = registry_mod.Registry(stores)
         self.sim.nodes[0].follow(self.registry.apply_block)
 
         store_iter = iter(stores)
@@ -492,7 +495,7 @@ class ScenarioRun:
         actor = self._actors[step["actor"]]
         spec = actor.spec
         record = registry_mod.SensorRecord(
-            name=step.get("name", spec.get("name", actor.actor_id)),
+            name=step["name"],
             owner_key_digest=actor.keypair.key_digest,
             payment_digest=actor.keypair.key_digest,
             data_type=step.get("data_type", spec.get("data_type", "generic")),

@@ -215,7 +215,7 @@ def test_07_tamper_evidence():
         for pos in range(len(content))
         for flip in (0x01, 0x80, 0xFF)
     )
-    fetched = fetch(anchor, {0: byzantine, 1: honest})
+    fetched = fetch(anchor, [byzantine, honest])
     ok = scenario_ok and mutations_detected and fetched == content
     verdict("7 tamper evidence: every mutation detected, honest replica serves", ok)
 

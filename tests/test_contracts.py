@@ -60,6 +60,22 @@ def test_escrow_release_to_seller():
     assert Wallet(seller, sim.nodes[0]).balance == 5_000 - FEE
 
 
+def test_escrow_status_follows_the_chain():
+    sim, agreement, buyer, seller, mediator = escrow_setup()
+    outsider = make_keypair(53)
+    escrow_release(sim.nodes[0], agreement, buyer, outsider, seller.key_digest)
+    run_blocks(sim, 3)
+    # Both nodes reject the release: the coins stay locked and the status stays.
+    assert agreement.status == "Funded"
+    assert agreement.outpoint in sim.chain.utxo
+    assert Wallet(seller, sim.nodes[0]).balance == 0
+    # A valid release counts once it confirms, not when it is broadcast.
+    escrow_release(sim.nodes[0], agreement, buyer, seller, seller.key_digest)
+    assert agreement.status == "Funded"
+    run_blocks(sim, 2)
+    assert agreement.status == "Released"
+
+
 def test_escrow_refund_via_mediator():
     sim, agreement, buyer, seller, mediator = escrow_setup()
     escrow_release(sim.nodes[0], agreement, buyer, mediator,

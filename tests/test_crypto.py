@@ -76,9 +76,9 @@ def test_encrypt_deterministic_with_explicit_seed():
     kp = make_keypair(10)
     e1 = crypto.encrypt_for(kp.public_key, b"data", ephemeral_seed=seed_bytes(90))
     e2 = crypto.encrypt_for(kp.public_key, b"data", ephemeral_seed=seed_bytes(90))
-    assert e1.serialize() == e2.serialize()
+    assert e1 == e2
     e3 = crypto.encrypt_for(kp.public_key, b"data", ephemeral_seed=seed_bytes(91))
-    assert e1.serialize() != e3.serialize()
+    assert e1 != e3
 
 
 def test_decrypt_with_wrong_key_fails():
@@ -93,32 +93,33 @@ def test_every_single_byte_tamper_is_detected():
     envelope = crypto.encrypt_for(
         kp.public_key, b"series=1,2,3,4,5", ephemeral_seed=seed_bytes(95)
     )
-    sealed = envelope.serialize()
-    # Skip the ephemeral key: corrupting it yields a different (wrong) shared
-    # secret, which also fails AEAD authentication, but a flipped high bit can
-    # make the point invalid outright; both surface as DecryptFailed.
-    for pos in range(len(sealed)):
-        bad = bytearray(sealed)
+    # Corrupting the ephemeral key yields a different (wrong) shared secret,
+    # which fails AEAD authentication, or makes the point invalid outright;
+    # both surface as DecryptFailed.
+    for pos in range(len(envelope)):
+        bad = bytearray(envelope)
         bad[pos] ^= 0x01
-        tampered = crypto.CipherEnvelope.deserialize(bytes(bad))
         with pytest.raises(DecryptFailed):
-            crypto.decrypt(kp, tampered)
+            crypto.decrypt(kp, bytes(bad))
 
 
-def test_envelope_serialization_roundtrip():
+def test_short_envelope_is_malformed():
     kp = make_keypair(14)
     envelope = crypto.encrypt_for(kp.public_key, b"x" * 100, ephemeral_seed=seed_bytes(96))
-    again = crypto.CipherEnvelope.deserialize(envelope.serialize())
-    assert again == envelope
-    with pytest.raises(MalformedTx):
-        crypto.CipherEnvelope.deserialize(b"\x00" * 10)
+    # ephemeral key (32) || nonce (12) || tag (16) || ciphertext
+    assert len(envelope) == 60 + 100
+    for short in (b"\x00" * 10, envelope[:59]):
+        with pytest.raises(MalformedTx):
+            crypto.decrypt(kp, short)
+    with pytest.raises(DecryptFailed):  # a whole header with the ciphertext cut off
+        crypto.decrypt(kp, envelope[:60])
 
 
 def test_envelope_bytes_are_pinned():
     # Exchange envelopes go on chain, so their bytes enter the report digests.
     envelope = crypto.encrypt_for(make_keypair(16).public_key, b"pm25=12.5",
                                   ephemeral_seed=seed_bytes(97))
-    assert envelope.serialize().hex() == (
+    assert envelope.hex() == (
         "d08eff96778abee3eb129226645aa188b93fc08f60024c7ce19299454d55aa1c"
         "9763d83dd138feab2f959b4c9ee873cb614737efbb719ff5fbd861c8b8db5d1a"
         "8b0148fb73"

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sensormarket import crypto, payload as payload_tags
+from sensormarket import crypto, datastore
 from sensormarket.datastore import Anchor, Store, fetch, seal, store, unseal, verify_anchor
 from sensormarket.errors import AnchorMismatch, MalformedTx, ReplicationUnsatisfiable
 from sensormarket.ledger import MAX_PAYLOAD
@@ -13,17 +13,13 @@ def stores(n, byzantine=()):
     return [Store(i, byzantine=i in byzantine) for i in range(n)]
 
 
-def by_id(slist):
-    return {s.store_id: s for s in slist}
-
-
 def test_store_and_fetch_roundtrip():
     slist = stores(3)
     anchor = store(slist, b"hello world", replication=2)
     assert anchor.blob_id == crypto.digest(b"hello world")
     assert anchor.locators == (0, 1)
     assert slist[2].blobs == {}
-    assert fetch(anchor, by_id(slist)) == b"hello world"
+    assert fetch(anchor, slist) == b"hello world"
 
 
 def test_replication_bounds():
@@ -45,23 +41,23 @@ def test_fetch_falls_back_past_bad_replicas():
     slist = stores(3, byzantine={0})
     anchor = store(slist, b"data", replication=3)
     tampered = []
-    assert fetch(anchor, by_id(slist), on_tamper=tampered.append) == b"data"
+    assert fetch(anchor, slist, on_tamper=tampered.append) == b"data"
     assert tampered == [0]
 
 
 def test_fetch_skips_missing_stores():
     slist = stores(2)
     anchor = store(slist, b"data", replication=2)
-    assert fetch(anchor, {1: slist[1]}) == b"data"  # store 0 unreachable
+    assert fetch(anchor, [slist[1]]) == b"data"  # store 0 unreachable
 
 
 def test_all_replicas_bad_or_missing():
     slist = stores(2, byzantine={0, 1})
     anchor = store(slist, b"data", replication=2)
     with pytest.raises(AnchorMismatch):
-        fetch(anchor, by_id(slist))
+        fetch(anchor, slist)
     with pytest.raises(AnchorMismatch):
-        fetch(anchor, {})
+        fetch(anchor, [])
 
 
 def test_explicit_tamper_is_detected():
@@ -69,7 +65,7 @@ def test_explicit_tamper_is_detected():
     anchor = store(slist, b"important", replication=1)
     slist[0].tamper(anchor.blob_id, position=3)
     with pytest.raises(AnchorMismatch):
-        fetch(anchor, by_id(slist))
+        fetch(anchor, slist)
 
 
 def test_every_single_byte_mutation_detected():
@@ -128,10 +124,12 @@ def test_random_mutations_never_verify(content, mutation):
 
 # --- the payload codec ------------------------------------------------------
 
+# Each kind with its inline and anchored tag bytes, written out here so that
+# these tests pin the on-chain format on their own.
 TAG_PAIRS = [
-    (payload_tags.DATUM_INLINE, payload_tags.DATUM_ANCHORED),
-    (payload_tags.REGISTRY_REGISTER, payload_tags.REGISTRY_REGISTER_ANCHORED),
-    (payload_tags.REGISTRY_UPDATE, payload_tags.REGISTRY_UPDATE_ANCHORED),
+    (datastore.DATUM, 0x01, 0x02),
+    (datastore.REGISTER, 0x03, 0x05),
+    (datastore.UPDATE, 0x04, 0x06),
 ]
 # Lengths on both sides of the inline limit (MAX_PAYLOAD - 1 bytes) and beyond.
 CONTENT = st.one_of(
@@ -144,23 +142,29 @@ CONTENT = st.one_of(
 @settings(max_examples=150, deadline=None)
 @given(content=CONTENT, n_stores=st.integers(0, 4), replication=st.integers(1, 3))
 def test_seal_then_unseal_gives_the_content(tags, content, n_stores, replication):
-    inline_tag, anchored_tag = tags
+    payload_kind, inline_tag, anchored_tag = tags
     slist = stores(n_stores)
     inline = 1 + len(content) <= MAX_PAYLOAD
     if not inline and replication > n_stores:
         with pytest.raises(ReplicationUnsatisfiable):
-            seal(content, inline_tag, anchored_tag, slist, replication)
+            seal(content, payload_kind, slist, replication)
         assert all(not s.blobs for s in slist)
         return
-    payload = seal(content, inline_tag, anchored_tag, slist, replication)
+    payload = seal(content, payload_kind, slist, replication)
     assert len(payload) <= MAX_PAYLOAD
+    assert datastore.kind(payload) == payload_kind
     if inline:
         assert payload == bytes([inline_tag]) + content
         assert all(not s.blobs for s in slist)
     else:
         anchor = Anchor(crypto.digest(content), tuple(range(replication)))
         assert payload == bytes([anchored_tag]) + anchor.serialize()
-    assert unseal(payload, by_id(slist)) == content
+    assert unseal(payload, slist) == content
+
+
+def test_kind_of_any_other_payload_is_none():
+    for payload in (None, b"", b"\x00", b"\x07" + b"x" * 10, b"\xff"):
+        assert datastore.kind(payload) is None
 
 
 @pytest.mark.parametrize("tags", TAG_PAIRS)
@@ -168,8 +172,8 @@ def test_seal_then_unseal_gives_the_content(tags, content, n_stores, replication
 @given(content=st.binary(min_size=MAX_PAYLOAD, max_size=200), replication=st.integers(1, 3))
 def test_unseal_with_every_replica_bad_is_an_anchor_mismatch(tags, content, replication):
     slist = stores(3, byzantine={0, 1, 2})
-    payload = seal(content, *tags, slist, replication)
+    payload = seal(content, tags[0], slist, replication)
     tampered = []
     with pytest.raises(AnchorMismatch):
-        unseal(payload, by_id(slist), on_tamper=tampered.append)
+        unseal(payload, slist, on_tamper=tampered.append)
     assert tampered == list(range(replication))

@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from sensormarket import exchange, payload as payload_tags
+from sensormarket import exchange
 from sensormarket.datastore import Store
 from sensormarket.errors import NoSensorFunds
 from sensormarket.exchange import MARKER_VALUE, RequesterActor, SensorActor
@@ -35,11 +35,11 @@ def setup_pair(req_funds=100_000, sensor_funds=5_000, datum=b"pm25=12.5",
 
 
 def delivery_tags(sim, sensor):
-    """The datum payload tag of each delivery the sensor put on chain, in chain order."""
-    datum_tags = (payload_tags.DATUM_INLINE, payload_tags.DATUM_ANCHORED)
+    """The datum payload tag of each delivery the sensor put on chain, in chain
+    order: 0x01 inline, 0x02 anchored."""
     return [out.payload[0] for block in sim.chain.blocks for tx in block.transactions
             if first_signer(tx) == sensor.keypair.public_key
-            for out in tx.outputs if out.payload and out.payload[0] in datum_tags]
+            for out in tx.outputs if out.payload and out.payload[0] in (0x01, 0x02)]
 
 
 def failed_deliveries(sim):
@@ -103,7 +103,7 @@ def test_large_datum_goes_through_datastore():
     requester.initiate_purchase(sensor.wallet.key_digest, PRICE)
     run_blocks(sim, 8)
     assert requester.deliveries[0].plaintext == datum
-    assert delivery_tags(sim, sensor) == [payload_tags.DATUM_ANCHORED]
+    assert delivery_tags(sim, sensor) == [0x02]
     # Two replicas actually hold the sealed blob.
     assert sum(1 for s in stores if s.blobs) == 2
 
@@ -112,7 +112,7 @@ def test_small_datum_stays_inline():
     sim, requester, sensor = setup_pair()
     requester.initiate_purchase(sensor.wallet.key_digest, PRICE)
     run_blocks(sim, 8)
-    assert delivery_tags(sim, sensor) == [payload_tags.DATUM_INLINE]
+    assert delivery_tags(sim, sensor) == [0x01]
 
 
 def test_all_replicas_corrupt_leaves_request_outstanding():
@@ -140,7 +140,7 @@ def test_honest_replica_saves_the_fetch():
     assert tampered and tampered[0]["store"] == 0
 
 
-@pytest.mark.parametrize("tag", [payload_tags.DATUM_INLINE, payload_tags.DATUM_ANCHORED])
+@pytest.mark.parametrize("tag", [0x01, 0x02])  # a datum's inline and anchored tags
 def test_malformed_datum_payload_is_a_failed_delivery(tag):
     sim, requester, sensor = setup_pair()
     sim.nodes[1].on_block.remove(sensor._on_block)

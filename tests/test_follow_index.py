@@ -11,7 +11,7 @@ the transactions that create or spend a key-hash output of each digest.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sensormarket import crypto, payload as payload_tags
+from sensormarket import crypto
 from sensormarket.errors import InvalidTxInBlock
 from sensormarket.exchange import (
     PaymentNotice,
@@ -38,8 +38,8 @@ PRICE = 400
 # An inline datum sealed for each key: paid to that key it decrypts, paid to
 # another it is a delivery that fails.
 DATUMS = [
-    bytes([payload_tags.DATUM_INLINE])
-    + crypto.encrypt_for(kp.public_key, b"t=%d" % i, ephemeral_seed=seed_bytes(300 + i)).serialize()
+    b"\x01"  # the inline datum tag
+    + crypto.encrypt_for(kp.public_key, b"t=%d" % i, ephemeral_seed=seed_bytes(300 + i))
     for i, kp in enumerate(KEYS)
 ]
 

@@ -3,8 +3,7 @@
 import pytest
 
 from sensormarket.datastore import Store
-from sensormarket.errors import MalformedTx, RecordTooLarge, UnknownName
-from sensormarket import payload as payload_tags
+from sensormarket.errors import MalformedTx, ReplicationUnsatisfiable, UnknownName
 from sensormarket.ledger import PayToKeyHash, TxOutput, txid
 from sensormarket.registry import (
     MAX_NAME_LEN,
@@ -69,7 +68,7 @@ def test_non_utf8_name_is_malformed():
 
 def test_registration_with_non_utf8_name_is_not_indexed():
     sim, registry, kps, wallets = registry_setup()
-    data = bytes([payload_tags.REGISTRY_REGISTER]) + _non_utf8_name(record_for(kps[0], "abc"))
+    data = b"\x03" + _non_utf8_name(record_for(kps[0], "abc"))  # an inline registration
     tx = wallets[0].create_tx([TxOutput(0, PayToKeyHash(kps[0].key_digest), data)], fee=50)
     sim.broadcast(tx, sim.nodes[0])
     register_sensor(wallets[1], record_for(kps[1], "valid"))
@@ -169,10 +168,10 @@ def test_rescan_matches_incremental_index():
 def test_oversized_record_uses_datastore_anchor():
     sim, registry_plain, kps, wallets = registry_setup()
     stores = [Store(0), Store(1)]
-    registry = Registry(stores={s.store_id: s for s in stores})
+    registry = Registry(stores)
     sim.nodes[0].follow(registry.apply_block)
     big = record_for(kps[0], "verbose", endpoint="x" * 120)
-    with pytest.raises(RecordTooLarge):
+    with pytest.raises(ReplicationUnsatisfiable):
         register_sensor(wallets[0], big)  # no stores given
     register_sensor(wallets[0], big, stores=stores)
     run_blocks(sim, 2)
@@ -186,7 +185,7 @@ def test_oversized_record_with_fewer_stores_than_replication_is_too_large():
     sim, _, kps, wallets = registry_setup()
     stores = [Store(0)]
     big = record_for(kps[0], "verbose", endpoint="x" * 120)
-    with pytest.raises(RecordTooLarge, match="replication 2 exceeds 1 stores"):
+    with pytest.raises(ReplicationUnsatisfiable, match="replication 2 exceeds 1 stores"):
         register_sensor(wallets[0], big, stores=stores, replication=2)
     assert stores[0].blobs == {}
     assert wallets[0].balance == 10_000  # nothing was built or broadcast

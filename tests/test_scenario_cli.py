@@ -5,7 +5,6 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sensormarket import payload as payload_tags
 from sensormarket.cli import bundled_scenarios, main
 from sensormarket.errors import ParseError
 from sensormarket.ledger import block_hash, deserialize_block
@@ -191,6 +190,25 @@ def test_sensor_names_longer_than_the_registry_limit_are_refused():
     assert longest.actors[0]["name"] == "é" * 32
 
 
+def test_a_registration_named_after_its_actor_id_is_held_to_the_limit():
+    # With no 'name' on the step or the actor, the record is named after the actor
+    # id.  A 64-byte name does not fit a payload, so the record is anchored.
+    def register(sensor):
+        return _doc(actors=[{"kind": "sensor", "funding": 1_000, **sensor},
+                            {"id": "store", "kind": "store"}],
+                    steps=[{"at": 0, "op": "register_sensor", "actor": sensor["id"]}])
+
+    with pytest.raises(ParseError,
+                       match="step 0 'register_sensor': bad 'name': longer than 64 bytes"):
+        parse_scenario(register({"id": "s" * 70}))
+    named = parse_scenario(register({"id": "s" * 70, "name": "pm25"}))  # the actor's name first
+    assert named.steps[0]["name"] == "pm25"
+    longest = parse_scenario(register({"id": "s" * 64}))
+    assert longest.steps[0]["name"] == "s" * 64
+    report = ScenarioRun(longest).execute()
+    assert [row["name"] for row in report["registry"]] == ["s" * 64]
+
+
 def test_escrow_amount_is_checked_against_the_configured_fee():
     escrow = {"at": 0, "op": "fund_escrow", "buyer": "a", "seller": "a",
               "mediator": "a", "amount": 50}
@@ -288,7 +306,7 @@ def test_long_scenario_record_is_anchored_on_the_run_stores():
     assert row["endpoint"] == endpoint + "/v2"
     registration_txid = bytes.fromhex(row["registration_txid"])
     registration = run.sim.chain.find_tx(registration_txid)
-    assert registration.outputs[0].payload[0] == payload_tags.REGISTRY_REGISTER_ANCHORED
+    assert registration.outputs[0].payload[0] == 0x05  # an anchored registration
     assert row["last_update_height"] > run.sim.chain.tx_index[registration_txid][0]
     stores = [a.store for a in run._actors.values() if a.store is not None]
     assert [len(s.blobs) for s in stores] == [2, 2]  # the two records, on both stores
