@@ -121,7 +121,3 @@ class ReplicationUnsatisfiable(SensorMarketError):
 
 class ParseError(SensorMarketError):
     pass
-
-
-class NoSnapshot(SensorMarketError):
-    pass

@@ -7,7 +7,8 @@ carries the datum encrypted for that key (inline if it fits the payload cap,
 otherwise anchored in the datastore).  The requester decrypts on receipt.
 Exactly two on-chain transactions per honest exchange.
 
-Each actor follows its node (``Node.follow``) at its confirmation depth: it
+Each actor takes its wallet, which holds its key pair and its node, and
+follows that node (``Node.follow``) at its confirmation depth: it
 is handed every block once, when that block is deep enough, and reads only
 the block's transactions that pay or spend its own key digest
 (``Chain.txs_touching``); a payment or a delivery always pays it.  So it
@@ -28,7 +29,6 @@ from .errors import (
     ReplicationUnsatisfiable,
 )
 from .ledger import Block, PayToKeyHash, Transaction, TxOutput, first_signer, outputs_paying, txid
-from .simnet import Node
 from .wallet import Wallet
 
 MARKER_VALUE = 1  # delivery transactions need one spendable unit to address the buyer
@@ -56,8 +56,7 @@ class SensorActor:
 
     def __init__(
         self,
-        node: Node,
-        keypair: crypto.KeyPair,
+        wallet: Wallet,
         price_per_datum: int,
         datum_source: Callable[[float], bytes],
         confirmation_depth: int = 1,
@@ -65,19 +64,17 @@ class SensorActor:
         replication: int = 2,
         actor_id: str = "sensor",
     ):
-        self.sim = node.sim
-        self.node = node
-        self.keypair = keypair
+        self.wallet = wallet
+        self.sim = wallet.node.sim
         self.price_per_datum = price_per_datum
         self.datum_source = datum_source
         self.stores = stores or []
         self.replication = replication
         self.actor_id = actor_id
-        self.wallet = Wallet(keypair, node)
         self._pending: list[PaymentNotice] = []
         self._rng = self.sim.rng(f"sensor/{actor_id}")
-        node.follow(self._scan_payments, confirmation_depth)
-        node.on_block.append(self._on_block)
+        wallet.node.follow(self._scan_payments, confirmation_depth)
+        wallet.node.on_block.append(self._on_block)
 
     def _on_block(self, block: Block) -> None:
         for notice in self.detect_payment():
@@ -162,31 +159,27 @@ class RequesterActor:
 
     def __init__(
         self,
-        node: Node,
-        keypair: crypto.KeyPair,
+        wallet: Wallet,
         confirmation_depth: int = 1,
         stores: Optional[list[datastore.Store]] = None,
         actor_id: str = "requester",
     ):
-        self.sim = node.sim
-        self.node = node
-        self.keypair = keypair
+        self.wallet = wallet
+        self.sim = wallet.node.sim
         self.stores = stores or []
         self.actor_id = actor_id
-        self.wallet = Wallet(keypair, node)
         self.outstanding: list[_Request] = []
         self.deliveries: list[DatumDelivery] = []
         self.on_datum: list[Callable[[DatumDelivery], None]] = []
-        node.follow(self.receive_datum, confirmation_depth)
+        wallet.node.follow(self.receive_datum, confirmation_depth)
 
     def initiate_purchase(
         self, sensor_payment_digest: bytes, price: int, amount: Optional[int] = None
     ) -> Transaction:
         pay_amount = price if amount is None else amount
         tx = self.wallet.send([TxOutput(pay_amount, PayToKeyHash(sensor_payment_digest))])
-        self.outstanding.append(
-            _Request(txid(tx), sensor_payment_digest, self.sim.clock, self.node.known_height)
-        )
+        self.outstanding.append(_Request(txid(tx), sensor_payment_digest, self.sim.clock,
+                                         self.wallet.node.known_height))
         return tx
 
     def receive_datum(self, block: Block) -> None:
@@ -221,7 +214,7 @@ class RequesterActor:
         try:
             envelope = datastore.unseal(data, self.stores, on_tamper=lambda loc: self.sim.log_event(
                 "replica_tampered", requester=self.actor_id, store=loc))
-            plaintext = crypto.decrypt(self.keypair, envelope)
+            plaintext = crypto.decrypt(self.wallet.keypair, envelope)
         except (DecryptFailed, AnchorMismatch, MalformedTx) as exc:
             # Request stays outstanding; the failure is surfaced in the report.
             self.sim.log_event(

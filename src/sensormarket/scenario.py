@@ -23,8 +23,8 @@ the run's ``SimConfig`` there too, so an unknown config key is a ParseError.
 
 Actor key pairs are derived from the scenario name and actor id, so txids are
 stable across RNG seeds; the seed only moves block timing and message delays.
-Assertions address the final report with a dotted path and one of ``equals``,
-``min``, ``max`` or ``nonempty``.
+Assertions address the final report with a dotted path and name at least one
+check: ``equals``, ``min``, ``max`` or ``nonempty`` (a flag).
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from .channels import Channel
 from .errors import (
     DoubleSpentPledge,
     InsufficientPledges,
-    NoSnapshot,
     ParseError,
     UnknownName,
 )
@@ -91,7 +90,7 @@ def load_scenario(path: str | Path, seed: Optional[int] = None) -> Scenario:
 
 _REQUIRED = object()  # default of a field that must be given
 _OPTIONAL = object()  # default of a field that may stay absent
-_NAMESPACES = ("actor", "payer", "requester", "oracle", "store", "channel", "escrow")
+_NAMESPACES = ("actor", "payer", "requester", "sensor", "oracle", "store", "channel", "escrow")
 
 
 def _convert(where: dict, fields: tuple, known: dict, owner: str = "", *args) -> None:
@@ -238,13 +237,16 @@ _TYPES = {
 
 
 def _roles(actor: dict) -> tuple[str, ...]:
-    """The roles ``ScenarioRun._build`` equips an actor of this kind for: a
-    payer holds a wallet, a requester buys datums."""
+    """The roles ``ScenarioRun`` equips an actor of this kind for, and the only
+    place that decides them: a payer holds a wallet, a requester buys datums, a
+    sensor sells them, an oracle signs facts and a store holds anchored blobs."""
     kind = actor["kind"]
     if kind == "store":
         return ("store",)
     if kind == "oracle":
         return ("oracle", "payer", "requester") if actor["funding"] else ("oracle",)
+    if kind == "sensor":
+        return ("payer", "sensor")
     return ("payer", "requester") if kind == "requester" else ("payer",)
 
 
@@ -280,10 +282,10 @@ CONFIG_FIELDS = _fields("rng_seed?:int mean_block_interval_s?:number "
 ACTOR_FIELDS = _fields(
     "id:text kind:text funding=0:funding node=0:int price=100:count confirmations=1:positive "
     "replication?:positive store_id?:count byzantine?:flag datum=datum:datum "
-    "name?:name data_type?:text endpoint?:text"
+    "name?:name data_type=generic:text endpoint=inline:text"
 )
 OP_FIELDS = {op: _fields("at=0:time " + spec) for op, spec in {
-    "register_sensor": "actor:payer name?:name data_type?:text price?:count endpoint?:text",
+    "register_sensor": "actor:payer name:name data_type:text price:count endpoint:text",
     "update_record": "actor:payer name:name data_type?:text price?:count endpoint?:text",
     "purchase": "actor:requester sensor:text amount?:count",
     "transfer": "from:payer to:actor amount:count",
@@ -303,7 +305,7 @@ OP_FIELDS = {op: _fields("at=0:time " + spec) for op, spec in {
                   "expression_a:expression expression_b:expression bet=bet:text",
     "tamper_store": "store:store position=0:count",
 }.items()}
-ASSERTION_FIELDS = _fields("path:text min?:number max?:number")
+ASSERTION_FIELDS = _fields("path:text min?:number max?:number nonempty?:flag")
 
 
 def parse_scenario(text: str, seed: Optional[int] = None) -> Scenario:
@@ -329,7 +331,7 @@ def parse_scenario(text: str, seed: Optional[int] = None) -> Scenario:
         _convert(actor, ACTOR_FIELDS, known, "actor {!r}: ", actor["id"])
         for role in _roles(actor):
             known[role].add(actor["id"])
-        if actor["kind"] == "store":
+        if actor["id"] in known["store"]:
             store_id = actor.setdefault("store_id", i)
             if store_id in store_ids:
                 raise ParseError(f"actor {actor['id']!r}: bad 'store_id': "
@@ -347,9 +349,13 @@ def parse_scenario(text: str, seed: Optional[int] = None) -> Scenario:
         except (KeyError, TypeError):
             raise ParseError(f"step {i}: unknown step op {op!r}" if "op" in step
                              else f"step {i} needs an 'op'") from None
-        if op == "register_sensor" and "name" not in step and step.get("actor") in ids:
-            # The record's name, checked as a given one: the actor's, else its id.
-            step["name"] = actors[step["actor"]].get("name", step["actor"])
+        if op == "register_sensor" and step.get("actor") in ids:
+            # The record's fields the step leaves out are its actor's, checked as
+            # given ones; its name is the actor's, else the actor id.
+            spec = actors[step["actor"]]
+            step.setdefault("name", spec.get("name", step["actor"]))
+            for key in ("data_type", "price", "endpoint"):
+                step.setdefault(key, spec[key])
         _convert(step, fields, known, "step {} {!r}: ", i, op)
         if step["at"] < clock:
             raise ParseError(f"step {i} {op!r}: step times must be non-decreasing")
@@ -357,6 +363,8 @@ def parse_scenario(text: str, seed: Optional[int] = None) -> Scenario:
     assertions = doc.get("assertions", [])
     for i, spec in enumerate(assertions):
         _convert(spec, ASSERTION_FIELDS, known, "assertion {}: ", i)
+        if not any(check in spec for check in ("equals", "min", "max", "nonempty")):
+            raise ParseError(f"assertion {i}: names no check")
     config = doc.get("config", {})
     if seed is not None:
         config["rng_seed"] = seed
@@ -385,36 +393,27 @@ class _Actor:
     spec: dict
     wallet: Optional[Wallet] = None
     requester: Optional[RequesterActor] = None
-    sensor: Optional[SensorActor] = None
     oracle: Optional[contracts.OracleService] = None
     store: Optional[datastore.Store] = None
 
 
 class ScenarioRun:
-    """One execution of a scenario; holds the final state for dumps."""
+    """One execution of a scenario, built whole from its actors and steps;
+    holds the final state for dumps."""
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
-        self.report: Optional[dict] = None
-        self.sim: Optional[Simulation] = None
-        self.registry: Optional[registry_mod.Registry] = None
         self._channels: dict[str, Channel] = {}
         self._escrows: dict[str, contracts.EscrowAgreement] = {}
         self._campaigns: dict[str, dict] = {}
-        self._pledges: dict[str, list[contracts.Pledge]] = {}
         self._bets: dict[str, contracts.OracleBet] = {}
         self._actors: dict[str, _Actor] = {}
-        self._stores: list[datastore.Store] = []
-
-    # --- setup --------------------------------------------------------------
-
-    def _build(self) -> None:
         keypairs = {
-            a["id"]: crypto.keypair_from_label(f"{self.scenario.name}/{a['id']}")
-            for a in self.scenario.actors
+            a["id"]: crypto.keypair_from_label(f"{scenario.name}/{a['id']}")
+            for a in scenario.actors
         }
         outputs = []
-        for a in self.scenario.actors:
+        for a in scenario.actors:
             funding = a["funding"]
             for amount in funding if isinstance(funding, list) else [funding]:
                 if amount > 0:
@@ -422,59 +421,40 @@ class ScenarioRun:
                         TxOutput(amount, PayToKeyHash(keypairs[a["id"]].key_digest))
                     )
         genesis = (Transaction(inputs=(), outputs=tuple(outputs)),) if outputs else ()
-        self.sim = Simulation(self.scenario.config, genesis)
+        self.sim = Simulation(scenario.config, genesis)
 
         self._stores = stores = [
             datastore.Store(store_id=a["store_id"], byzantine=a.get("byzantine", False))
-            for a in self.scenario.actors
-            if a["kind"] == "store"
+            for a in scenario.actors
+            if "store" in _roles(a)
         ]
         self.registry = registry_mod.Registry(stores)
         self.sim.nodes[0].follow(self.registry.apply_block)
 
+        # Each actor is equipped for its kind's roles (``_roles``), its wallet first.
         store_iter = iter(stores)
-        for a in self.scenario.actors:
+        for a in scenario.actors:
             node = self.sim.nodes[a["node"] % len(self.sim.nodes)]
-            actor = _Actor(a["id"], keypairs[a["id"]], node, a)
-            if a["kind"] == "store":
-                actor.store = next(store_iter)
-            elif a["kind"] == "sensor":
-                actor.sensor = SensorActor(
-                    node,
-                    actor.keypair,
-                    price_per_datum=a["price"],
-                    datum_source=lambda t, d=a["datum"]: d.encode(),
-                    confirmation_depth=a["confirmations"],
-                    stores=stores,
-                    replication=a["replication"],
-                    actor_id=a["id"],
-                )
-                actor.wallet = actor.sensor.wallet
-            elif a["kind"] == "oracle":
-                actor.oracle = contracts.OracleService(actor.keypair)
-                if a["funding"]:
-                    actor.requester = RequesterActor(
-                        node, actor.keypair, stores=stores, actor_id=a["id"]
-                    )
-                    actor.wallet = actor.requester.wallet
-                    # Sensor datums of the form "name=value" feed the fact base.
-                    actor.requester.on_datum.append(
-                        lambda d, o=actor.oracle: self._ingest_fact(o, d.plaintext)
-                    )
-            elif a["kind"] == "requester":
-                actor.requester = RequesterActor(
-                    node, actor.keypair,
-                    confirmation_depth=a["confirmations"],
-                    stores=stores, actor_id=a["id"],
-                )
-                actor.wallet = actor.requester.wallet
-            else:
-                # plain wallet-holding roles: mediator, entrepreneur,
-                # contributor, party, ...
+            actor = self._actors[a["id"]] = _Actor(a["id"], keypairs[a["id"]], node, a)
+            roles = _roles(a)
+            if "payer" in roles:
                 actor.wallet = Wallet(actor.keypair, node)
-            self._actors[a["id"]] = actor
+            if "store" in roles:
+                actor.store = next(store_iter)
+            if "oracle" in roles:
+                actor.oracle = contracts.OracleService(actor.keypair)
+            if "requester" in roles:
+                actor.requester = RequesterActor(actor.wallet, a["confirmations"], stores, a["id"])
+            if actor.oracle is not None and actor.requester is not None:
+                # Sensor datums of the form "name=value" feed the fact base.
+                actor.requester.on_datum.append(
+                    lambda d, o=actor.oracle: self._ingest_fact(o, d.plaintext)
+                )
+            if "sensor" in roles:  # its node's hooks hold it
+                SensorActor(actor.wallet, a["price"], lambda t, d=a["datum"]: d.encode(),
+                            a["confirmations"], stores, a["replication"], a["id"])
 
-        for step in self.scenario.steps:
+        for step in scenario.steps:
             self.sim.schedule(
                 step["at"],
                 f"step:{step['op']}",
@@ -493,16 +473,16 @@ class ScenarioRun:
 
     def _step_register_sensor(self, step: dict) -> None:
         actor = self._actors[step["actor"]]
-        spec = actor.spec
         record = registry_mod.SensorRecord(
             name=step["name"],
             owner_key_digest=actor.keypair.key_digest,
             payment_digest=actor.keypair.key_digest,
-            data_type=step.get("data_type", spec.get("data_type", "generic")),
-            price_per_datum=step.get("price", spec["price"]),
-            endpoint=step.get("endpoint", spec.get("endpoint", "inline")),
+            data_type=step["data_type"],
+            price_per_datum=step["price"],
+            endpoint=step["endpoint"],
         )
-        registry_mod.register_sensor(actor.wallet, record, self._stores, spec["replication"])
+        registry_mod.register_sensor(actor.wallet, record, self._stores,
+                                     actor.spec["replication"])
 
     def _step_update_record(self, step: dict) -> None:
         actor = self._actors[step["actor"]]
@@ -594,38 +574,31 @@ class ScenarioRun:
 
         node.when_confirmed(agreement.outpoint[0], 1, release)
 
-    def _campaign(self, step: dict) -> contracts.Campaign:
-        campaign_id = step["campaign"]
-        entry = self._campaigns.get(campaign_id)
+    def _campaign(self, step: dict) -> dict:
+        """The campaign's one record, made by the first step that names it."""
+        entry = self._campaigns.get(step["campaign"])
         if entry is None:
             entrepreneur = self._actors[step["entrepreneur"]]
-            entry = {
+            entry = self._campaigns[step["campaign"]] = {
                 "campaign": contracts.Campaign(
                     entrepreneur.keypair.key_digest, step["goal"]
                 ),
+                "pledges": [],
                 "status": "open",
-                "pledged": 0,
             }
-            self._campaigns[campaign_id] = entry
-            self._pledges[campaign_id] = []
-        return entry["campaign"]
+        return entry
 
     def _step_make_pledge(self, step: dict) -> None:
-        campaign = self._campaign(step)
-        campaign_id = step["campaign"]
-        actor = self._actors[step["actor"]]
-        pledge = contracts.make_pledge(actor.wallet, campaign, step["amount"])
-        self._pledges[campaign_id].append(pledge)
-        self._campaigns[campaign_id]["pledged"] += pledge.amount
+        entry = self._campaign(step)
+        wallet = self._actors[step["actor"]].wallet
+        entry["pledges"].append(contracts.make_pledge(wallet, entry["campaign"], step["amount"]))
 
     def _step_assemble_assurance(self, step: dict) -> None:
-        campaign_id = step["campaign"]
-        campaign = self._campaign(step)
-        entry = self._campaigns[campaign_id]
+        entry = self._campaign(step)
         entrepreneur = self._actors[step["entrepreneur"]]
         try:
             tx = contracts.assemble_assurance(
-                entrepreneur.node, self._pledges[campaign_id], campaign
+                entrepreneur.node, entry["pledges"], entry["campaign"]
             )
             entry["status"] = "assembled"
             entry["txid"] = txid(tx).hex()
@@ -674,10 +647,8 @@ class ScenarioRun:
     # --- execution and reporting --------------------------------------------
 
     def execute(self) -> dict:
-        self._build()
         self.sim.run_until(self.scenario.horizon_s)
-        self.report = self._build_report()
-        return self.report
+        return self._build_report()
 
     def _build_report(self) -> dict:
         sim = self.sim
@@ -750,7 +721,8 @@ class ScenarioRun:
                     for eid, e in sorted(self._escrows.items())
                 },
                 "campaigns": {
-                    cid: {k: v for k, v in entry.items() if k != "campaign"}
+                    cid: {**{k: v for k, v in entry.items() if k not in ("campaign", "pledges")},
+                          "pledged": sum(p.amount for p in entry["pledges"])}
                     for cid, entry in sorted(self._campaigns.items())
                 },
                 "bets": {
@@ -776,8 +748,6 @@ class ScenarioRun:
 
     def dump_chain(self) -> str:
         """Line-delimited JSON, one block per line; lossless via block_hex."""
-        if self.sim is None:
-            raise NoSnapshot("run the scenario before dumping the chain")
         lines = []
         for block in self.sim.chain.blocks:
             lines.append(
@@ -797,8 +767,6 @@ class ScenarioRun:
         return "\n".join(lines) + "\n"
 
     def dump_registry(self) -> str:
-        if self.registry is None:
-            raise NoSnapshot("run the scenario before dumping the registry")
         rows = self.registry.dump()
         return json.dumps(rows, indent=2, sort_keys=True) + "\n"
 

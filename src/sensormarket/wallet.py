@@ -26,14 +26,11 @@ from .ledger import (
 from .simnet import Node
 
 
-def sign_inputs(tx: Transaction, *keypairs: crypto.KeyPair,
-                indices: Optional[list[int]] = None) -> Transaction:
-    """Attach each key pair's (pubkey, signature) witness, in order, to the given
-    input indices, keeping each input's oracle signature: the one signer of every spend."""
-    if indices is None:
-        indices = list(range(len(tx.inputs)))
+def sign_inputs(tx: Transaction, *keypairs: crypto.KeyPair) -> Transaction:
+    """Attach each key pair's (pubkey, signature) witness, in order, to every
+    input, keeping each input's oracle signature: the one signer of every spend."""
     inputs = list(tx.inputs)
-    for i in indices:
+    for i in range(len(inputs)):
         message = sighash(tx, i)
         old = inputs[i]
         witness = Witness(

@@ -9,6 +9,7 @@ from sensormarket.datastore import Store
 from sensormarket.errors import NoSensorFunds
 from sensormarket.exchange import MARKER_VALUE, RequesterActor, SensorActor
 from sensormarket.ledger import first_signer, txid
+from sensormarket.wallet import Wallet
 
 from conftest import make_keypair, make_sim, run_blocks
 
@@ -25,11 +26,11 @@ def setup_pair(req_funds=100_000, sensor_funds=5_000, datum=b"pm25=12.5",
         num_nodes=2, default_fee=default_fee,
     )
     sensor = SensorActor(
-        sim.nodes[1], sensor_kp, PRICE, lambda t: datum,
+        Wallet(sensor_kp, sim.nodes[1]), PRICE, lambda t: datum,
         stores=stores, **sensor_kwargs,
     )
     requester = RequesterActor(
-        sim.nodes[0], req_kp, stores=stores,
+        Wallet(req_kp, sim.nodes[0]), stores=stores,
     )
     return sim, requester, sensor
 
@@ -38,7 +39,7 @@ def delivery_tags(sim, sensor):
     """The datum payload tag of each delivery the sensor put on chain, in chain
     order: 0x01 inline, 0x02 anchored."""
     return [out.payload[0] for block in sim.chain.blocks for tx in block.transactions
-            if first_signer(tx) == sensor.keypair.public_key
+            if first_signer(tx) == sensor.wallet.keypair.public_key
             for out in tx.outputs if out.payload and out.payload[0] in (0x01, 0x02)]
 
 
@@ -230,11 +231,11 @@ def test_detect_payment_is_idempotent_until_fulfilled():
 def test_sensor_built_after_confirmation_sees_the_payment():
     req_kp, sensor_kp = make_keypair(20), make_keypair(21)
     sim = make_sim([(req_kp, 100_000), (sensor_kp, 5_000)], num_nodes=2)
-    requester = RequesterActor(sim.nodes[0], req_kp)
+    requester = RequesterActor(Wallet(req_kp, sim.nodes[0]))
     payment = requester.initiate_purchase(sensor_kp.key_digest, PRICE)
     run_blocks(sim, 4)
     assert sim.chain.confirmations(txid(payment)) >= 3
-    sensor = SensorActor(sim.nodes[1], sensor_kp, PRICE, lambda t: b"late")
+    sensor = SensorActor(Wallet(sensor_kp, sim.nodes[1]), PRICE, lambda t: b"late")
     assert [n.payment_txid for n in sensor.detect_payment()] == [txid(payment)]
     run_blocks(sim, 4)
     assert [d.plaintext for d in requester.deliveries] == [b"late"]

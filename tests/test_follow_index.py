@@ -105,15 +105,15 @@ class Market:
         node = self.node = self.sim.nodes[0]
         self.wallets = [(Wallet(kp, node), RescanWallet(kp, node)) for kp in KEYS]
         self.sensors = []
-        for kp in KEYS[:2]:
-            twins = [cls(node, kp, PRICE, lambda t: b"x")
+        for wallet, _ in self.wallets[:2]:
+            twins = [cls(wallet, PRICE, lambda t: b"x")
                      for cls in (SensorActor, RescanSensor)]
             for sensor in twins:
                 node.on_block.remove(sensor._on_block)  # scanning only, no fulfilment
             self.sensors.append(twins)
         self.requesters = []
-        for kp in KEYS[2:]:
-            twins = [cls(node, kp, actor_id=f"{cls.__name__}/{kp.key_digest.hex()}")
+        for wallet, _ in self.wallets[2:]:
+            twins = [cls(wallet, actor_id=f"{cls.__name__}/{wallet.key_digest.hex()}")
                      for cls in (RequesterActor, RescanRequester)]
             for requester in twins:
                 requester.outstanding = [
@@ -144,8 +144,7 @@ class Market:
             for v, k in zip(values, to)
         )
         tx = Transaction(tuple(TxInput(*op) for op in picks), outputs)
-        for kp in dict.fromkeys(owners):
-            tx = sign_inputs(tx, kp, indices=[i for i, owner in enumerate(owners) if owner is kp])
+        tx = sign_inputs(tx, *dict.fromkeys(owners))
         for i, (value, k) in enumerate(zip(values, to)):
             self.coins[(txid(tx), i)] = (value, KEYS[k])
         self.pending.append((tx, fee))

@@ -104,6 +104,11 @@ def test_parse_rejects_structural_problems():
          "bad 'id'.*surrogates not allowed"),
         (_doc(assertions=[{"equals": 1}]), "assertion 0: bad 'path': missing"),
         (_doc(assertions=[{"path": "scenario", "min": "a"}]), "assertion 0: bad 'min'"),
+        # An assertion that checks nothing: a misspelt check, or none at all.
+        (_doc(assertions=[{"path": "chain.height", "equls": 5}]), "assertion 0: names no check"),
+        (_doc(assertions=[{"path": "no.such.path"}]), "assertion 0: names no check"),
+        (_doc(assertions=[{"path": "scenario", "nonempty": "no"}]),
+         "assertion 0: bad 'nonempty': expected true or false"),
         # An actor id that is undeclared, or whose kind cannot play the role.
         (_doc(actors=[requester, store], steps=[{**TRANSFER, "from": "s"}]),
          "bad 'from': 's' is not a known payer"),
@@ -209,6 +214,18 @@ def test_a_registration_named_after_its_actor_id_is_held_to_the_limit():
     assert [row["name"] for row in report["registry"]] == ["s" * 64]
 
 
+def test_a_registration_takes_the_fields_it_leaves_out_from_its_actor():
+    sensor = {"id": "a", "kind": "sensor", "price": 7, "endpoint": "https://pm25"}
+    register = {"at": 0, "op": "register_sensor", "actor": "a"}
+    [step] = parse_scenario(_doc(actors=[sensor], steps=[register])).steps
+    assert (step["name"], step["data_type"], step["price"], step["endpoint"]) == (
+        "a", "generic", 7, "https://pm25")
+    given = {**register, "name": "pm25", "data_type": "pm25_ugm3", "price": 9, "endpoint": "x"}
+    [step] = parse_scenario(_doc(actors=[sensor], steps=[given])).steps
+    assert (step["name"], step["data_type"], step["price"], step["endpoint"]) == (
+        "pm25", "pm25_ugm3", 9, "x")
+
+
 def test_escrow_amount_is_checked_against_the_configured_fee():
     escrow = {"at": 0, "op": "fund_escrow", "buyer": "a", "seller": "a",
               "mediator": "a", "amount": 50}
@@ -232,6 +249,21 @@ def test_all_bundled_scenarios_pass():
         report, code = run_scenario(path)
         failed = [r for r in report["assertions"] if not r["ok"]]
         assert code == 0, f"{name}: {failed}"
+
+
+def test_a_deeper_oracle_sees_its_datum_later():
+    # The oracle buys the rain gauge's datum; at a depth of 3 it takes the delivery
+    # two blocks later than at a depth of 1, and the bet still settles.
+    doc = json.loads(bundled("weather_bet_oracle").read_text())
+    [oracle] = [a for a in doc["actors"] if a["kind"] == "oracle"]
+    latency = {}
+    for depth in (1, 3):
+        oracle["confirmations"] = depth
+        report = ScenarioRun(parse_scenario(json.dumps(doc))).execute()
+        assert all(r["ok"] for r in report["assertions"]), report["assertions"]
+        [row] = report["exchanges"]["rows"]
+        latency[depth] = row["latency_s"]
+    assert latency[3] > latency[1]
 
 
 def test_report_digest_deterministic_per_seed():
