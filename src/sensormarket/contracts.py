@@ -45,10 +45,6 @@ class EscrowAgreement:
     outpoint: tuple[bytes, int]
     status: str = "Funded"
 
-    @property
-    def predicate(self) -> MultiSig:
-        return MultiSig(2, (self.buyer_key, self.seller_key, self.mediator_key))
-
 
 def fund_escrow(
     buyer_wallet: Wallet, seller_key: bytes, mediator_key: bytes, amount: int
@@ -145,12 +141,12 @@ def assemble_assurance(node: Node, pledges: list[Pledge], campaign: Campaign) ->
     """Combine pledges into the goal transaction once they cover the goal."""
     total = 0
     for pledge in pledges:
-        entry = node.sim.chain.utxo.get(pledge.tx_input.outpoint)
-        if entry is None:
+        out = node.sim.chain.utxo.get(pledge.tx_input.outpoint)
+        if out is None:
             raise DoubleSpentPledge(
                 f"pledge UTXO {pledge.tx_input.prev_txid.hex()[:16]} already spent"
             )
-        total += entry.output.value
+        total += out.value
     if total < campaign.goal:
         raise InsufficientPledges(campaign.goal - total)
     tx = Transaction(

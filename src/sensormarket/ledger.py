@@ -1,8 +1,10 @@
 """Minimal UTXO transaction model with a predicate-script algebra.
 
-Outputs are locked by one of five predicate forms instead of a stack-based
-script interpreter.  Canonical serialization (see `wire`) defines txids,
-signature messages and block sizes.
+Outputs are locked by one of three predicate forms instead of a stack-based
+script interpreter: a key hash, an m-of-n multisig, or an oracle gate over one
+of those two, never over another gate.  Canonical serialization (see `wire`)
+defines txids, signature messages and block sizes.  The UTXO set maps each
+unspent outpoint to its ``TxOutput``.
 
 Signature messages ("sighash"): the transaction is serialized with all
 witnesses stripped.  For a normal input the message covers every input's
@@ -33,7 +35,6 @@ from .errors import (
 
 MAX_PAYLOAD = 80
 MAX_MULTISIG_KEYS = 15
-MAX_PREDICATE_DEPTH = 4
 TXID_LEN = 32
 GENESIS_PREV_HASH = b"\x00" * 32
 
@@ -56,35 +57,22 @@ class MultiSig:
 
 
 @dataclass(frozen=True)
-class TimeLocked:
-    unlock_height: int
-    inner: "Predicate"
-
-
-@dataclass(frozen=True)
 class OracleGated:
     oracle_key: bytes
     expression_id: str
-    inner: "Predicate"
+    inner: Union[PayToKeyHash, MultiSig]  # one gate level: never another gate
 
 
-@dataclass(frozen=True)
-class AnyoneCanSpend:
-    pass
+Predicate = Union[PayToKeyHash, MultiSig, OracleGated]
 
-
-Predicate = Union[PayToKeyHash, MultiSig, TimeLocked, OracleGated, AnyoneCanSpend]
+_GATE_IN_GATE = "an oracle gate may not hold another gate"
 
 
 def check_predicate(p: Predicate) -> None:
-    depth = 1
-    while isinstance(p, (TimeLocked, OracleGated)):
-        if isinstance(p, TimeLocked) and p.unlock_height < 0:
-            raise MalformedTx("negative unlock height")
-        depth += 1
-        if depth > MAX_PREDICATE_DEPTH:
-            raise MalformedTx("predicate nesting too deep")
+    if isinstance(p, OracleGated):
         p = p.inner
+        if isinstance(p, OracleGated):
+            raise MalformedTx(_GATE_IN_GATE)
     if isinstance(p, PayToKeyHash) and len(p.key_digest) != crypto.KEY_DIGEST_LEN:
         raise MalformedTx("bad key digest length")
     if isinstance(p, MultiSig):
@@ -92,54 +80,39 @@ def check_predicate(p: Predicate) -> None:
             raise MalformedTx(f"bad multisig bounds m={p.m} n={p.n}")
 
 
-def serialize_predicate(p: Predicate, depth: int = 1) -> bytes:
-    # Bounded like `read_predicate`: what encodes also decodes, and a long
-    # chain of wrappers is a MalformedTx before it can be a RecursionError.
-    if depth > MAX_PREDICATE_DEPTH:
-        raise MalformedTx("predicate nesting too deep")
-    if isinstance(p, PayToKeyHash):
-        return wire.u8(0x01) + p.key_digest
-    if isinstance(p, MultiSig):
-        out = wire.u8(0x02) + wire.u8(p.m) + wire.u8(p.n)
-        for pk in p.public_keys:
-            out += wire.varbytes(pk)
-        return out
-    if isinstance(p, TimeLocked):
-        return wire.u8(0x03) + wire.u64(p.unlock_height) + serialize_predicate(p.inner, depth + 1)
+def serialize_predicate(p: Predicate) -> bytes:
+    # No recursion: a gate's inner predicate is a key hash or a multisig, so a
+    # chain of gates built in-program is a MalformedTx, never a RecursionError.
+    data = b""
     if isinstance(p, OracleGated):
-        return (
-            wire.u8(0x04)
-            + wire.varbytes(p.oracle_key)
-            + wire.varbytes(p.expression_id.encode())
-            + serialize_predicate(p.inner, depth + 1)
-        )
-    if isinstance(p, AnyoneCanSpend):
-        return wire.u8(0x05)
-    raise MalformedTx(f"unknown predicate {p!r}")
+        data = wire.u8(0x04) + wire.varbytes(p.oracle_key) + wire.varbytes(p.expression_id.encode())
+        p = p.inner
+    if isinstance(p, PayToKeyHash):
+        return data + wire.u8(0x01) + p.key_digest
+    if isinstance(p, MultiSig):
+        data += wire.u8(0x02) + wire.u8(p.m) + wire.u8(p.n)
+        for pk in p.public_keys:
+            data += wire.varbytes(pk)
+        return data
+    raise MalformedTx(_GATE_IN_GATE if isinstance(p, OracleGated) else f"unknown predicate {p!r}")
 
 
-def read_predicate(r: wire.Reader, depth: int = 1) -> Predicate:
-    # Bounded here, not only by `check_predicate`, so that a long run of
-    # wrapper tags is a MalformedTx and not a RecursionError.
-    if depth > MAX_PREDICATE_DEPTH:
-        raise MalformedTx("predicate nesting too deep")
+def read_predicate(r: wire.Reader) -> Predicate:
+    # As `serialize_predicate`: a gate tag after a gate is a MalformedTx, so a
+    # long run of gate tags never recurses.
     tag = r.u8()
-    if tag == 0x01:
-        return PayToKeyHash(r.read(crypto.KEY_DIGEST_LEN))
-    if tag == 0x02:
-        m, n = r.u8(), r.u8()
-        keys = tuple(r.varbytes() for _ in range(n))
-        return MultiSig(m, keys)
-    if tag == 0x03:
-        height = r.u64()
-        return TimeLocked(height, read_predicate(r, depth + 1))
+    gate = None
     if tag == 0x04:
-        oracle_key = r.varbytes()
-        expression_id = r.text()
-        return OracleGated(oracle_key, expression_id, read_predicate(r, depth + 1))
-    if tag == 0x05:
-        return AnyoneCanSpend()
-    raise MalformedTx(f"unknown predicate tag {tag:#x}")
+        gate = (r.varbytes(), r.text())
+        tag = r.u8()
+    if tag == 0x01:
+        p = PayToKeyHash(r.read(crypto.KEY_DIGEST_LEN))
+    elif tag == 0x02:
+        m, n = r.u8(), r.u8()
+        p = MultiSig(m, tuple(r.varbytes() for _ in range(n)))
+    else:
+        raise MalformedTx(_GATE_IN_GATE if tag == 0x04 else f"unknown predicate tag {tag:#x}")
+    return p if gate is None else OracleGated(*gate, p)
 
 
 # --- transactions -----------------------------------------------------------
@@ -332,14 +305,17 @@ def _verify(public_key: bytes, message: bytes, signature: bytes,
     return False
 
 
-def satisfy(predicate: Predicate, witness: Witness, message: bytes, height: int,
-            verified: set) -> None:
+def satisfy(predicate: Predicate, witness: Witness, message: bytes, verified: set) -> None:
     """Raise the first failing rule, or return on success.
 
     ``verified`` is the signature cache the checks go through (see ``_verify``).
     """
-    if isinstance(predicate, AnyoneCanSpend):
-        return
+    if isinstance(predicate, OracleGated):
+        if witness.oracle_signature is None:
+            raise OracleSignatureMissing("oracle signature required")
+        if not _verify(predicate.oracle_key, message, witness.oracle_signature, verified):
+            raise BadSignature("oracle signature does not verify")
+        predicate = predicate.inner
     if isinstance(predicate, PayToKeyHash):
         for pk, sig in witness.signatures:
             if crypto.key_digest(pk) == predicate.key_digest:
@@ -359,35 +335,17 @@ def satisfy(predicate: Predicate, witness: Witness, message: bytes, height: int,
                 f"{valid} valid signatures, {predicate.m} required"
             )
         return
-    if isinstance(predicate, TimeLocked):
-        if height < predicate.unlock_height:
-            raise TimelockNotExpired(
-                f"height {height} < unlock height {predicate.unlock_height}"
-            )
-        return satisfy(predicate.inner, witness, message, height, verified)
-    if isinstance(predicate, OracleGated):
-        if witness.oracle_signature is None:
-            raise OracleSignatureMissing("oracle signature required")
-        if not _verify(predicate.oracle_key, message, witness.oracle_signature, verified):
-            raise BadSignature("oracle signature does not verify")
-        return satisfy(predicate.inner, witness, message, height, verified)
     raise MalformedTx(f"unknown predicate {predicate!r}")
 
 
 # --- UTXO set ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class UtxoEntry:
-    output: TxOutput
-    height: int
-
-
-Utxos = dict[tuple[bytes, int], UtxoEntry]  # a UTXO set: outpoint -> unspent output
+Utxos = dict[tuple[bytes, int], TxOutput]  # a UTXO set: outpoint -> unspent output
 
 
 class UtxoView:
     """A UTXO set with pending changes on top: ``base``, a plain dict such as
-    ``Chain.utxo``, less the outpoints in ``spent``, plus the entries of
+    ``Chain.utxo``, less the outpoints in ``spent``, plus the outputs of
     ``created``.
 
     The mempool passes its ``spent_by`` and ``created``; ``Chain.apply_block``
@@ -400,12 +358,12 @@ class UtxoView:
         self._spent = spent
         self._created = created
 
-    def get(self, outpoint: tuple[bytes, int]) -> Optional[UtxoEntry]:
+    def get(self, outpoint: tuple[bytes, int]) -> Optional[TxOutput]:
         if outpoint in self._spent:
             return None
-        entry = self._base.get(outpoint)
-        if entry is not None:
-            return entry
+        out = self._base.get(outpoint)
+        if out is not None:
+            return out
         return self._created.get(outpoint)
 
 
@@ -414,10 +372,10 @@ def tx_fee(tx: Transaction, utxo: Utxos) -> int:
     ``validate_transaction`` returns."""
     total_in = 0
     for inp in tx.inputs:
-        entry = utxo.get(inp.outpoint)
-        if entry is None:
+        prev = utxo.get(inp.outpoint)
+        if prev is None:
             raise MissingUtxo(f"input {inp.prev_txid.hex()[:16]}:{inp.prev_index} not unspent")
-        total_in += entry.output.value
+        total_in += prev.value
     return total_in - sum(out.value for out in tx.outputs)
 
 
@@ -450,13 +408,13 @@ def validate_transaction(tx: Transaction, utxo: Union[Utxos, UtxoView], height: 
     verified = verified_signatures(tx) or set()
     total_in = 0
     for i, inp in enumerate(tx.inputs):
-        entry = utxo.get(inp.outpoint)
-        if entry is None:
+        prev = utxo.get(inp.outpoint)
+        if prev is None:
             raise MissingUtxo(
                 f"input {inp.prev_txid.hex()[:16]}:{inp.prev_index} not unspent"
             )
-        total_in += entry.output.value
-        satisfy(entry.output.predicate, inp.witness, sighash(tx, i), height, verified)
+        total_in += prev.value
+        satisfy(prev.predicate, inp.witness, sighash(tx, i), verified)
     fee = total_in - sum(out.value for out in tx.outputs)
     if fee < 0:
         raise NegativeFee("outputs exceed inputs")
@@ -530,7 +488,7 @@ class Chain:
     the scenario's money supply, so value conservation is asserted from
     height 1 onward.
 
-    ``utxo`` is the UTXO set, a plain dict from outpoint to ``UtxoEntry``.
+    ``utxo`` is the UTXO set, a plain dict from outpoint to ``TxOutput``.
     A block applies whole or not at all: ``apply_block`` checks every tx
     against a ``UtxoView`` of ``utxo``, and only a block that
     passes is connected.  A failing block changes nothing, so nothing is
@@ -542,7 +500,7 @@ class Chain:
     bare ``PayToKeyHash`` output of it (``txs_touching``).
     """
 
-    def __init__(self, genesis_funding: tuple[Transaction, ...], timestamp: float = 0.0):
+    def __init__(self, genesis_funding: tuple[Transaction, ...]):
         if any(tx.inputs for tx in genesis_funding):
             raise InvalidTxInBlock("genesis transactions must not spend inputs")
         self.blocks: list[Block] = []
@@ -552,7 +510,7 @@ class Chain:
         self._connect(Block(
             height=0,
             prev_block_hash=GENESIS_PREV_HASH,
-            timestamp=timestamp,
+            timestamp=0.0,
             transactions=genesis_funding,
             fee_reward=0,
         ))
@@ -585,7 +543,7 @@ class Chain:
                 raise InvalidTxInBlock(str(exc)) from exc
             spent.update(inp.outpoint for inp in tx.inputs)
             for i, out in enumerate(tx.outputs):
-                created[(tid, i)] = UtxoEntry(out, block.height)
+                created[(tid, i)] = out
         if block.fee_reward != total_fees:
             raise InvalidTxInBlock(
                 f"fee_reward {block.fee_reward} != collected fees {total_fees}"
@@ -598,10 +556,9 @@ class Chain:
         for pos, tx in enumerate(block.transactions):
             tid = txid(tx)
             for inp in tx.inputs:
-                entry = self.utxo.pop(inp.outpoint)
-                _touch(touching, entry.output.predicate, pos)
+                _touch(touching, self.utxo.pop(inp.outpoint).predicate, pos)
             for i, out in enumerate(tx.outputs):
-                self.utxo[(tid, i)] = UtxoEntry(out, block.height)
+                self.utxo[(tid, i)] = out
                 _touch(touching, out.predicate, pos)
             self.tx_index[tid] = (block.height, pos)
             vars(tx).pop("_verified", None)  # confirmed: its signatures are not checked again

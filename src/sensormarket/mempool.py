@@ -11,7 +11,7 @@ Two indices keep upkeep proportional to what changed, not to the pool:
   that member, and no two members spend one outpoint.  So the spenders of a
   tx's outputs are ``spent_by[(txid, i)]``, and a block template can release
   a child when its last unconfirmed parent is picked.
-* ``created`` maps each output of a member to its UTXO entry.
+* ``created`` maps each outpoint a member creates to its output.
 
 A member is stale when one of its inputs is neither in ``chain.utxo`` nor in
 ``created``.  Only two events can make a member stale: a block spending an
@@ -31,7 +31,7 @@ from .errors import Conflict
 from .ledger import (
     Chain,
     Transaction,
-    UtxoEntry,
+    TxOutput,
     UtxoView,
     tx_size,
     txid,
@@ -55,7 +55,7 @@ class Mempool:
     def __init__(self) -> None:
         self.entries: dict[bytes, MempoolEntry] = {}
         self.spent_by: dict[tuple[bytes, int], bytes] = {}  # outpoint -> txid
-        self.created: dict[tuple[bytes, int], UtxoEntry] = {}
+        self.created: dict[tuple[bytes, int], TxOutput] = {}
         self._checked_height = 0  # chain blocks up to here have been checked
 
     def __len__(self) -> int:
@@ -82,7 +82,7 @@ class Mempool:
         for inp in tx.inputs:
             self.spent_by[inp.outpoint] = tid
         for i, out in enumerate(tx.outputs):
-            self.created[(tid, i)] = UtxoEntry(out, height)
+            self.created[(tid, i)] = out
         return entry
 
     def remove(self, tid: bytes) -> list[bytes]:

@@ -24,7 +24,8 @@ the run's ``SimConfig`` there too, so an unknown config key is a ParseError.
 Actor key pairs are derived from the scenario name and actor id, so txids are
 stable across RNG seeds; the seed only moves block timing and message delays.
 Assertions address the final report with a dotted path and name at least one
-check: ``equals``, ``min``, ``max`` or ``nonempty`` (a flag).
+check: ``equals``, ``min``, ``max`` or ``nonempty`` (which can only be true).
+An actor's ``kind`` is one of the keys of ``_KIND_ROLES``.
 """
 
 from __future__ import annotations
@@ -217,6 +218,31 @@ def _signers(value, where, known) -> list:
     return [_TYPES["actor"](signer, where, known) for signer in value]
 
 
+def _true(value, where=None, known=None) -> bool:
+    """A flag that can only be true: ``nonempty``, whose false would check nothing."""
+    if not _flag(value):
+        raise ValueError("can only be true")
+    return value
+
+
+# Every actor kind and the roles ``ScenarioRun`` equips it for: a payer holds a
+# wallet, a requester buys datums, a sensor sells them, an oracle signs facts
+# and a store holds anchored blobs.  The plain wallet kinds differ in name only.
+_KIND_ROLES = {
+    "sensor": ("payer", "sensor"),
+    "requester": ("payer", "requester"),
+    "oracle": ("oracle", "payer", "requester"),
+    "store": ("store",),
+    **dict.fromkeys(("payer", "party", "mediator", "contributor", "entrepreneur"), ("payer",)),
+}
+
+
+def _kind(value, where=None, known=None) -> str:
+    if _text(value) not in _KIND_ROLES:
+        raise ValueError(f"{value!r} is not a known kind")
+    return value
+
+
 def _expression(value, where=None, known=None) -> dict:
     """``{"id": ..., "text": "<fact> <op> <number>"}``, in the oracle's grammar."""
     _text(_object(value).get("id"))
@@ -228,7 +254,7 @@ _TYPES = {
     "int": _int, "count": _count, "positive": _positive,
     "number": _number, "time": _time,
     "text": _text, "name": _name, "datum": _datum,
-    "flag": _flag, "funding": _funding,
+    "flag": _flag, "true": _true, "kind": _kind, "funding": _funding,
     "object": _object, "objects": _objects,
     **{namespace: _member(namespace) for namespace in _NAMESPACES},
     "new_channel": _opens("channel"), "new_escrow": _opens("escrow"),
@@ -237,17 +263,11 @@ _TYPES = {
 
 
 def _roles(actor: dict) -> tuple[str, ...]:
-    """The roles ``ScenarioRun`` equips an actor of this kind for, and the only
-    place that decides them: a payer holds a wallet, a requester buys datums, a
-    sensor sells them, an oracle signs facts and a store holds anchored blobs."""
-    kind = actor["kind"]
-    if kind == "store":
-        return ("store",)
-    if kind == "oracle":
-        return ("oracle", "payer", "requester") if actor["funding"] else ("oracle",)
-    if kind == "sensor":
-        return ("payer", "sensor")
-    return ("payer", "requester") if kind == "requester" else ("payer",)
+    """The roles ``ScenarioRun`` equips an actor for, and the only place that
+    decides them: its kind's (``_KIND_ROLES``), but an unfunded oracle only signs."""
+    if actor["kind"] == "oracle" and not actor["funding"]:
+        return ("oracle",)
+    return _KIND_ROLES[actor["kind"]]
 
 
 def _fields(spec: str) -> tuple:
@@ -280,7 +300,7 @@ CONFIG_FIELDS = _fields("rng_seed?:int mean_block_interval_s?:number "
                         "propagation_delay_s?:number max_block_size?:int num_nodes?:int "
                         "default_fee?:int")
 ACTOR_FIELDS = _fields(
-    "id:text kind:text funding=0:funding node=0:int price=100:count confirmations=1:positive "
+    "id:text kind:kind funding=0:funding node=0:int price=100:count confirmations=1:positive "
     "replication?:positive store_id?:count byzantine?:flag datum=datum:datum "
     "name?:name data_type=generic:text endpoint=inline:text"
 )
@@ -305,7 +325,7 @@ OP_FIELDS = {op: _fields("at=0:time " + spec) for op, spec in {
                   "expression_a:expression expression_b:expression bet=bet:text",
     "tamper_store": "store:store position=0:count",
 }.items()}
-ASSERTION_FIELDS = _fields("path:text min?:number max?:number nonempty?:flag")
+ASSERTION_FIELDS = _fields("path:text min?:number max?:number nonempty?:true")
 
 
 def parse_scenario(text: str, seed: Optional[int] = None) -> Scenario:
@@ -688,6 +708,7 @@ class ScenarioRun:
                     }
                 )
 
+        fees = sum(b.fee_reward for b in sim.chain.blocks)  # the producer's income
         registry_rows = []
         for row in self.registry.dump():
             row["owner_actor"] = digest_by_actor.get(row["owner"], "?")
@@ -699,14 +720,14 @@ class ScenarioRun:
             "chain": {
                 "height": sim.chain.height,
                 "tx_count": sum(len(b.transactions) for b in sim.chain.blocks[1:]),
-                "total_fees": sim.fee_credits,
+                "total_fees": fees,
             },
             "balances": {
                 a.actor_id: a.wallet.balance
                 for a in self._actors.values()
                 if a.wallet is not None
             },
-            "producer_fees": sim.fee_credits,
+            "producer_fees": fees,
             "exchanges": {
                 "fulfilled": fulfilled,
                 "outstanding": outstanding,

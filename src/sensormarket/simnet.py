@@ -132,7 +132,6 @@ class Simulation:
         self.chain = Chain(genesis_funding)
         self.nodes = [Node(i, self) for i in range(config.num_nodes)]
         self.producer = self.nodes[0]
-        self.fee_credits = 0  # block producer income; not re-spendable
         self.events_log: list[dict] = []
         self._block_rng = self.rng("block-production")
         self._schedule_next_block()
@@ -203,7 +202,6 @@ class Simulation:
             fee_reward=fees,
         )
         self.chain.apply_block(block)
-        self.fee_credits += fees
         self.producer.deliver_block(block)
         for node in self.nodes:
             if node is self.producer:

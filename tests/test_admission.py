@@ -6,11 +6,9 @@ from hypothesis import given, settings, strategies as st
 from sensormarket import wire
 from sensormarket.errors import MalformedTx
 from sensormarket.ledger import (
-    AnyoneCanSpend,
     MultiSig,
     OracleGated,
     PayToKeyHash,
-    TimeLocked,
     Transaction,
     TxInput,
     TxOutput,
@@ -39,10 +37,10 @@ def spend(outpoint, *outputs, lock_height=None):
     )
 
 
-def nested_time_locks(depth):
+def nested_gates(gates):
     predicate = PayToKeyHash(A.key_digest)
-    for height in range(depth - 1):
-        predicate = TimeLocked(height, predicate)
+    for _ in range(gates):
+        predicate = OracleGated(A.public_key, "x", predicate)
     return predicate
 
 
@@ -68,10 +66,11 @@ def test_varbytes_longer_than_u16_is_malformed():
     lambda op: spend(op, TxOutput(-1, PayToKeyHash(A.key_digest))),
     lambda op: spend(op, TxOutput(900, PayToKeyHash(A.key_digest)), lock_height=1 << 64),
     lambda op: spend(op, TxOutput(900, PayToKeyHash(A.key_digest), bytes(70_000))),
-    lambda op: spend(op, TxOutput(900, TimeLocked(-5, AnyoneCanSpend()))),
+    lambda op: spend(op, TxOutput(900, nested_gates(2))),  # a gate in a gate
     lambda op: spend((op[0] + b"\x01", op[1]), TxOutput(900, PayToKeyHash(A.key_digest))),
-    lambda op: Transaction((TxInput(*op, anyone_can_pay="yes"),), (TxOutput(900, AnyoneCanSpend()),)),
-    lambda op: spend(op, TxOutput(900, nested_time_locks(5000))),  # not a RecursionError
+    lambda op: Transaction((TxInput(*op, anyone_can_pay="yes"),),
+                           (TxOutput(900, PayToKeyHash(A.key_digest)),)),
+    lambda op: spend(op, TxOutput(900, nested_gates(5000))),  # not a RecursionError
     lambda op: spend(op, TxOutput("x", PayToKeyHash(A.key_digest))),
     lambda op: spend(op, TxOutput(None, PayToKeyHash(A.key_digest))),
 ])
@@ -104,16 +103,13 @@ def _many(element, sizes=(0, 1, 2, 256)):
     )
 
 
+# Gates over gates too: admission must refuse them, not only never build them.
 PREDICATE = st.recursive(
     st.one_of(
-        st.just(AnyoneCanSpend()),
         st.builds(PayToKeyHash, st.one_of(st.just(A.key_digest), st.binary(max_size=24))),
         st.builds(MultiSig, WIDE_INT, _many(KEY)),
     ),
-    lambda inner: st.one_of(
-        st.builds(TimeLocked, WIDE_INT, inner),
-        st.builds(OracleGated, KEY, st.text(max_size=4), inner),
-    ),
+    lambda inner: st.builds(OracleGated, KEY, st.text(max_size=4), inner),
     max_leaves=3,
 )
 FLAG = st.one_of(st.booleans(), st.sampled_from([2, "yes", None]))

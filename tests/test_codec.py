@@ -2,8 +2,8 @@
 
 Bytes that decode re-encode to themselves, and every other byte string is a
 MalformedTx: a flag is exactly 0 or 1, a prev_txid exactly 32 bytes, an
-elided field is never also written out, and predicate nesting is bounded
-before it can exhaust the stack.
+elided field is never also written out, and an oracle gate holds a key hash
+or a multisig, never another gate, so no predicate can exhaust the stack.
 """
 
 import pytest
@@ -12,12 +12,9 @@ from hypothesis import given, settings, strategies as st
 from sensormarket import wire
 from sensormarket.errors import MalformedTx
 from sensormarket.ledger import (
-    MAX_PREDICATE_DEPTH,
-    AnyoneCanSpend,
     MultiSig,
     OracleGated,
     PayToKeyHash,
-    TimeLocked,
     Transaction,
     TxInput,
     TxOutput,
@@ -34,7 +31,7 @@ from conftest import make_keypair
 # --- fixed width prev_txid ------------------------------------------------------
 
 P, Q31 = bytes(range(32)), bytes(range(100, 131))
-OUTPUTS = (TxOutput(5, AnyoneCanSpend()),)
+OUTPUTS = (TxOutput(5, PayToKeyHash(bytes(20))),)
 
 
 def test_prev_txid_of_another_length_does_not_serialize():
@@ -57,7 +54,7 @@ def test_prev_txid_of_another_length_does_not_serialize():
 # non-zero byte in its place would otherwise decode.
 FLAGGED = serialize_tx(Transaction(
     (TxInput(bytes(32), 0, Witness((), b"s"), anyone_can_pay=True),),
-    (TxOutput(5, AnyoneCanSpend(), b"p"),),
+    (TxOutput(5, PayToKeyHash(bytes(20)), b"p"),),
     lock_height=7,
 ))
 FLAG_OFFSETS = {
@@ -110,44 +107,41 @@ def test_registry_payment_digest_equal_to_owner_must_be_elided():
 
 # --- predicate nesting ------------------------------------------------------------
 
-def _nested(depth):
-    predicate = AnyoneCanSpend()
-    for height in range(depth - 1):
-        predicate = TimeLocked(height, predicate)
-    return predicate
+GATE = wire.u8(0x04) + wire.varbytes(b"o") + wire.varbytes(b"x")  # a gate's tag and fields
+KEY_HASH = wire.u8(0x01) + bytes(20)
+
+
+def _tx_bytes(predicate):
+    """A tx with no inputs and one output of value 1 locked by ``predicate``."""
+    return wire.u16(0) + wire.u16(1) + wire.u64(1) + predicate + b"\x00" + b"\x00"
 
 
 def test_predicate_nesting_is_bounded_at_decode():
-    allowed = Transaction((), (TxOutput(1, _nested(MAX_PREDICATE_DEPTH)),))
-    assert deserialize_tx(serialize_tx(allowed)) == allowed
-    too_deep = Transaction((), (TxOutput(1, _nested(MAX_PREDICATE_DEPTH + 1)),))
+    gated = OracleGated(b"o", "x", PayToKeyHash(bytes(20)))
+    one_gate = Transaction((), (TxOutput(1, gated),))
+    assert serialize_tx(one_gate) == _tx_bytes(GATE + KEY_HASH)
+    assert deserialize_tx(serialize_tx(one_gate)) == one_gate
+    # A gate in a gate neither encodes nor decodes.
     with pytest.raises(MalformedTx):
-        deserialize_tx(serialize_tx(too_deep))
+        serialize_tx(Transaction((), (TxOutput(1, OracleGated(b"o", "x", gated)),)))
+    with pytest.raises(MalformedTx):
+        deserialize_tx(_tx_bytes(GATE + GATE + KEY_HASH))
 
 
 def test_deeply_nested_predicate_bytes_are_malformed_not_a_recursion_error():
-    predicate = (b"\x03" + wire.u64(1)) * 5000 + b"\x05"
-    data = wire.u16(0) + wire.u16(1) + wire.u64(1) + predicate + b"\x00" + b"\x00"
     with pytest.raises(MalformedTx):
-        deserialize_tx(data)
+        deserialize_tx(_tx_bytes(GATE * 5000 + KEY_HASH))
 
 
 # --- round-trip properties --------------------------------------------------------
 
 SHORT = st.binary(max_size=8)
 U8, U32, U64 = (st.integers(0, (1 << bits) - 1) for bits in (8, 32, 64))
-PREDICATE = st.recursive(
-    st.one_of(
-        st.just(AnyoneCanSpend()),
-        st.builds(PayToKeyHash, st.binary(min_size=20, max_size=20)),
-        st.builds(MultiSig, U8, st.lists(SHORT, max_size=3).map(tuple)),
-    ),
-    lambda inner: st.one_of(
-        st.builds(TimeLocked, U64, inner),
-        st.builds(OracleGated, SHORT, st.text(max_size=4), inner),
-    ),
-    max_leaves=3,
+UNGATED = st.one_of(
+    st.builds(PayToKeyHash, st.binary(min_size=20, max_size=20)),
+    st.builds(MultiSig, U8, st.lists(SHORT, max_size=3).map(tuple)),
 )
+PREDICATE = UNGATED | st.builds(OracleGated, SHORT, st.text(max_size=4), UNGATED)
 TRANSACTION = st.builds(
     Transaction,
     st.lists(st.builds(

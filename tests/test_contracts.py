@@ -149,7 +149,7 @@ def test_assemble_when_goal_met():
     tx = assemble_assurance(sim.nodes[0], pledges, campaign)
     run_blocks(sim, 2)
     assert Wallet(entrepreneur, sim.nodes[0]).balance == 1_000
-    assert sim.fee_credits == 100  # the 100 excess became the fee
+    assert sum(b.fee_reward for b in sim.chain.blocks) == 100  # the 100 excess became the fee
 
 
 def test_shortfall_reported():

@@ -66,7 +66,7 @@ def test_balances_after_exchange():
     run_blocks(sim, 8)
     assert requester.wallet.balance == 100_000 - PRICE - FEE + MARKER_VALUE
     assert sensor.wallet.balance == 5_000 + PRICE - FEE - MARKER_VALUE
-    assert sim.fee_credits == 2 * FEE
+    assert sum(b.fee_reward for b in sim.chain.blocks) == 2 * FEE
 
 
 def test_underpayment_is_flagged_not_fulfilled():

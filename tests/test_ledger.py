@@ -18,13 +18,11 @@ from sensormarket.errors import (
     TimelockNotExpired,
 )
 from sensormarket.ledger import (
-    AnyoneCanSpend,
     Block,
     MAX_PAYLOAD,
     MultiSig,
     OracleGated,
     PayToKeyHash,
-    TimeLocked,
     Transaction,
     TxInput,
     TxOutput,
@@ -92,23 +90,21 @@ def test_independent_serializer_oracle():
     [
         PayToKeyHash(b"\x11" * 20),
         MultiSig(2, (b"\x01" * 64, b"\x02" * 64, b"\x03" * 64)),
-        TimeLocked(99, PayToKeyHash(b"\x22" * 20)),
         OracleGated(b"\x04" * 64, "rained_out", MultiSig(2, (b"\x05" * 64, b"\x06" * 64))),
-        AnyoneCanSpend(),
-        TimeLocked(5, OracleGated(b"\x07" * 64, "x", PayToKeyHash(b"\x33" * 20))),
+        OracleGated(b"\x07" * 64, "x", PayToKeyHash(b"\x33" * 20)),
     ],
 )
 def test_tx_roundtrip(predicate):
     tx = Transaction(
         inputs=(TxInput(b"\x00" * 32, 0, Witness(((b"\x09" * 64, b"\x0a" * 64),), b"\x0b" * 64)),),
-        outputs=(TxOutput(5, predicate), TxOutput(0, AnyoneCanSpend(), b"data")),
+        outputs=(TxOutput(5, predicate), TxOutput(0, PayToKeyHash(b"\x44" * 20), b"data")),
         lock_height=None,
     )
     assert deserialize_tx(serialize_tx(tx)) == tx
 
 
 def test_non_utf8_expression_id_is_malformed():
-    gated = OracleGated(b"\x04" * 64, "EXPR_ID!", AnyoneCanSpend())
+    gated = OracleGated(b"\x04" * 64, "EXPR_ID!", PayToKeyHash(B.key_digest))
     data = serialize_tx(Transaction(inputs=(), outputs=(TxOutput(5, gated),)))
     assert data.count(b"EXPR_ID!") == 1
     with pytest.raises(MalformedTx):
@@ -118,11 +114,11 @@ def test_non_utf8_expression_id_is_malformed():
 def test_txid_depends_on_every_field():
     base = Transaction(
         inputs=(TxInput(b"\x00" * 32, 0),),
-        outputs=(TxOutput(5, AnyoneCanSpend()),),
+        outputs=(TxOutput(5, PayToKeyHash(B.key_digest)),),
     )
     variants = [
         Transaction(base.inputs, base.outputs, lock_height=1),
-        Transaction(base.inputs, (TxOutput(6, AnyoneCanSpend()),)),
+        Transaction(base.inputs, (TxOutput(6, PayToKeyHash(B.key_digest)),)),
         Transaction((TxInput(b"\x00" * 32, 1),), base.outputs),
     ]
     ids = {txid(t) for t in [base] + variants}
@@ -137,18 +133,18 @@ def test_predicate_limits():
         check_predicate(MultiSig(2, (b"k" * 64,)))
     with pytest.raises(MalformedTx):
         check_predicate(MultiSig(1, tuple(bytes([i]) * 64 for i in range(16))))
-    deep = PayToKeyHash(b"\x01" * 20)
-    for height in range(3):
-        deep = TimeLocked(height, deep)
-    check_predicate(deep)  # depth 4 is allowed
-    with pytest.raises(MalformedTx):
-        check_predicate(TimeLocked(9, deep))  # depth 5 is not
+    gate = OracleGated(b"o" * 64, "x", MultiSig(1, (b"k" * 64,)))
+    check_predicate(gate)
+    with pytest.raises(MalformedTx):  # the gate's inner predicate is checked too
+        check_predicate(OracleGated(b"o" * 64, "x", MultiSig(0, (b"k" * 64,))))
+    with pytest.raises(MalformedTx):  # one gate level: never a gate in a gate
+        check_predicate(OracleGated(b"o" * 64, "y", gate))
 
 
 def test_sighash_excludes_witnesses():
     tx = Transaction(
         inputs=(TxInput(b"\x01" * 32, 0),),
-        outputs=(TxOutput(5, AnyoneCanSpend()),),
+        outputs=(TxOutput(5, PayToKeyHash(B.key_digest)),),
     )
     signed = sign_inputs(tx, A)
     assert sighash(tx, 0) == sighash(signed, 0)
@@ -189,14 +185,14 @@ def test_validate_spend_happy_path():
 
 def test_missing_utxo_and_self_cycle():
     chain = make_chain((A, 1000))
-    tx = spend(chain, (b"\xff" * 32, 0), [TxOutput(1, AnyoneCanSpend())], A)
+    tx = spend(chain, (b"\xff" * 32, 0), [TxOutput(1, PayToKeyHash(B.key_digest))], A)
     with pytest.raises(MissingUtxo):
         validate_transaction(tx, chain.utxo, 1)
 
 
 def test_wrong_signer_rejected():
     chain = make_chain((A, 1000))
-    tx = spend(chain, genesis_outpoint(chain), [TxOutput(990, AnyoneCanSpend())], B)
+    tx = spend(chain, genesis_outpoint(chain), [TxOutput(990, PayToKeyHash(B.key_digest))], B)
     with pytest.raises(BadSignature):
         validate_transaction(tx, chain.utxo, 1)
 
@@ -206,7 +202,7 @@ def test_duplicate_outpoint_rejected():
     op = genesis_outpoint(chain)
     tx = Transaction(
         inputs=(TxInput(*op), TxInput(*op)),
-        outputs=(TxOutput(1, AnyoneCanSpend()),),
+        outputs=(TxOutput(1, PayToKeyHash(B.key_digest)),),
     )
     with pytest.raises(MalformedTx):
         validate_transaction(sign_inputs(tx, A), chain.utxo, 1)
@@ -223,10 +219,10 @@ def test_outputs_exceeding_inputs_rejected():
 def test_payload_cap_enforced():
     chain = make_chain((A, 1000))
     ok = spend(chain, genesis_outpoint(chain),
-               [TxOutput(1, AnyoneCanSpend(), b"x" * MAX_PAYLOAD)], A)
+               [TxOutput(1, PayToKeyHash(B.key_digest), b"x" * MAX_PAYLOAD)], A)
     validate_transaction(ok, chain.utxo, 1)
     fat = spend(chain, genesis_outpoint(chain),
-                [TxOutput(1, AnyoneCanSpend(), b"x" * (MAX_PAYLOAD + 1))], A)
+                [TxOutput(1, PayToKeyHash(B.key_digest), b"x" * (MAX_PAYLOAD + 1))], A)
     with pytest.raises(MalformedTx):
         validate_transaction(fat, chain.utxo, 1)
 
@@ -266,18 +262,6 @@ def test_multisig_ignores_foreign_signatures():
         validate_transaction(tx, chain.utxo, 2)
 
 
-def test_timelocked_predicate():
-    chain = make_chain((A, 1000))
-    locked = TimeLocked(5, PayToKeyHash(B.key_digest))
-    fund = spend(chain, genesis_outpoint(chain), [TxOutput(900, locked)], A)
-    mine(chain, [fund], 100)
-    claim = spend(chain, (txid(fund), 0),
-                  [TxOutput(890, PayToKeyHash(B.key_digest))], B)
-    with pytest.raises(TimelockNotExpired):
-        validate_transaction(claim, chain.utxo, 4)
-    validate_transaction(claim, chain.utxo, 5)
-
-
 def test_tx_lock_height():
     chain = make_chain((A, 1000))
     tx = spend(chain, genesis_outpoint(chain),
@@ -293,7 +277,7 @@ def test_oracle_gated_requires_oracle_signature():
     gated = OracleGated(oracle.public_key, "expr", PayToKeyHash(A.key_digest))
     fund = spend(chain, genesis_outpoint(chain), [TxOutput(900, gated)], A)
     mine(chain, [fund], 100)
-    claim = spend(chain, (txid(fund), 0), [TxOutput(890, AnyoneCanSpend())], A)
+    claim = spend(chain, (txid(fund), 0), [TxOutput(890, PayToKeyHash(B.key_digest))], A)
     with pytest.raises(OracleSignatureMissing):
         validate_transaction(claim, chain.utxo, 2)
     msg = sighash(claim, 0)
@@ -450,7 +434,7 @@ def test_genesis_must_not_spend():
     from sensormarket.ledger import Chain
     bad = Transaction(
         inputs=(TxInput(b"\x00" * 32, 0),),
-        outputs=(TxOutput(1, AnyoneCanSpend()),),
+        outputs=(TxOutput(1, PayToKeyHash(B.key_digest)),),
     )
     with pytest.raises(InvalidTxInBlock):
         Chain((bad,))

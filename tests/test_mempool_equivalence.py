@@ -104,8 +104,7 @@ class PoolPair:
 
 
 def value_of(outpoint, chain, pool) -> int:
-    entry = chain.utxo.get(outpoint) or pool.created[outpoint]
-    return entry.output.value
+    return (chain.utxo.get(outpoint) or pool.created[outpoint]).value
 
 
 def spend(draw, outpoints, chain, pool) -> Transaction:

@@ -236,6 +236,24 @@ def test_escrow_amount_is_checked_against_the_configured_fee():
     assert lower_fee.config.default_fee == 49
 
 
+def test_an_unknown_actor_kind_is_refused():
+    # A misspelt sensor once ran as a plain payer: it was paid and never sold.
+    doc = json.loads(bundled("atomic_exchange").read_text())
+    [sensor] = [a for a in doc["actors"] if a["kind"] == "sensor"]
+    sensor["kind"] = "sensr"
+    with pytest.raises(ParseError, match=f"actor {sensor['id']!r}: bad 'kind': "
+                                         "'sensr' is not a known kind"):
+        parse_scenario(json.dumps(doc))
+
+
+def test_an_assertion_that_nonempty_is_false_is_refused():
+    # A false "nonempty" checks nothing: it passed whatever its path named.
+    with pytest.raises(ParseError, match="assertion 0: bad 'nonempty': can only be true"):
+        parse_scenario(_doc(assertions=[{"path": "no.such.path", "nonempty": False}]))
+    [spec] = parse_scenario(_doc(assertions=[{"path": "scenario", "nonempty": True}])).assertions
+    assert spec["nonempty"] is True
+
+
 def test_parse_accepts_bundled_files():
     for path in bundled_scenarios().values():
         scenario = load_scenario(path)
@@ -291,6 +309,15 @@ def test_chain_dump_is_lossless():
         assert doc["hash"] == block_hash(restored).hex()
         assert doc["prev"] == prev
         prev = doc["hash"]
+
+
+def test_report_fees_are_the_dumped_chains_fee_rewards():
+    run = ScenarioRun(load_scenario(bundled("atomic_exchange")))
+    report = run.execute()
+    dumped = sum(json.loads(line)["fee_reward"] for line in run.dump_chain().splitlines())
+    assert report["chain"]["total_fees"] == report["producer_fees"] == dumped
+    # Every tx of this scenario pays the default fee.
+    assert dumped == report["chain"]["tx_count"] * run.scenario.config.default_fee > 0
 
 
 @pytest.mark.parametrize("store_actors", [[], [{"id": "s0", "kind": "store"}]])

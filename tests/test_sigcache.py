@@ -91,7 +91,7 @@ def test_cached_triple_admits_no_other_signature_for_the_same_key_and_message():
     forged = bytes([sig[0] ^ 1]) + sig[1:]
     predicate = PayToKeyHash(A.key_digest)
     with pytest.raises(BadSignature):
-        satisfy(predicate, Witness(((pk, forged),)), message, 1, cache)
+        satisfy(predicate, Witness(((pk, forged),)), message, cache)
     assert (pk, message, forged) not in cache
     # The forged tx has the same key and message, so it reaches the same
     # check; it carries no memo of its own and fails there.

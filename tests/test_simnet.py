@@ -111,7 +111,7 @@ def test_when_confirmed_fires_once_at_depth():
     assert len(hits) == 1
     height, _ = sim.chain.tx_index[txid(tx)]
     assert hits[0] >= height + 1  # at least depth 2 when it fired
-    assert sim.fee_credits == 10  # the producer kept the one tx's fee
+    assert sum(b.fee_reward for b in sim.chain.blocks) == 10  # the producer kept the one tx's fee
 
 
 def test_when_confirmed_waits_in_the_hook_list_and_fires_once():

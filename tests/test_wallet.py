@@ -64,7 +64,7 @@ def test_exact_utxo_split_and_take():
     run_blocks(sim, 2)
     outpoint = wallet.take_exact_utxo(400)
     assert outpoint == (txid(split), 0)
-    assert sim.chain.utxo.get(outpoint).output.value == 400
+    assert sim.chain.utxo.get(outpoint).value == 400
     assert outpoint not in wallet.utxos
     with pytest.raises(InsufficientFunds):
         wallet.take_exact_utxo(400)  # the only one was taken
