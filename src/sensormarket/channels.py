@@ -9,10 +9,11 @@ expiry height.
 In between, a payment costs one signature and one AEAD seal, as in a Spilman
 channel: money flows one way, so the payer's signature on the settlement for
 the new balance split is the payment, and the sensor adds its own only once,
-to the settlement it broadcasts at ``close``.  Each payment's datum is sealed
-under one session key per channel, agreed once at open from an ephemeral
-X25519 key (``crypto.session_to``), with the payment's sequence number as its
-nonce and the funding txid as associated data.
+to the settlement it broadcasts at ``close``.  Each payment is answered with
+the sensor's datum, the bytes the channel was opened with, sealed under one
+session key per channel, agreed once at open from an ephemeral X25519 key
+(``crypto.session_to``), with the payment's sequence number as its nonce and
+the funding txid as associated data.
 
 Misbehaviour is out of model: actors are honest by contract, so no update's
 signature is verified off-chain (the chain checks the settlement that is
@@ -22,7 +23,7 @@ broadcast), and ``close`` always settles the latest state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from . import crypto
 from .errors import (
@@ -59,7 +60,7 @@ class Channel:
         sensor_keypair: crypto.KeyPair,
         deposit: int,
         expiry_height: int,
-        datum_source: Callable[[float], bytes],
+        datum: bytes,
     ):
         self.funder_keypair = funder_wallet.keypair
         self.node = funder_wallet.node
@@ -68,7 +69,7 @@ class Channel:
             raise ExpiryPassed("expiry height must lie in the future")
         self.sensor_keypair = sensor_keypair
         self.expiry_height = expiry_height
-        self.datum_source = datum_source
+        self.datum = datum
         self.closed = False
         self.settle_txid: Optional[bytes] = None
         self.datums_delivered: list[bytes] = []
@@ -136,8 +137,7 @@ class Channel:
         # Sensor answers each signed update with a sealed datum, delivered
         # directly between the actors (no chain traffic).  The sequence rises
         # within the channel, so no nonce repeats under its key.
-        sealed = self._sensor_session.seal(sequence, self.datum_source(self.sim.clock),
-                                           self.funding_txid)
+        sealed = self._sensor_session.seal(sequence, self.datum, self.funding_txid)
         self.datums_delivered.append(
             self._funder_session.open(sequence, sealed, self.funding_txid))
         return self.state
@@ -168,10 +168,6 @@ class Channel:
         self.sim.broadcast(refund, self.node)
         return refund
 
-    def confirmed_onchain_count(self) -> int:
-        return sum(1 for tid in (self.funding_txid, self.settle_txid)
-                   if tid is not None and self.sim.chain.confirmations(tid) is not None)
-
     def summary(self) -> dict:
         return {
             "funding_txid": self.funding_txid.hex(),
@@ -180,7 +176,9 @@ class Channel:
             "balance_requester": self.state.balance_requester,
             "balance_sensor": self.state.balance_sensor,
             "paid_total": self.state.balance_sensor,
-            "onchain_tx_count": self.confirmed_onchain_count(),
+            "onchain_tx_count": sum(
+                1 for tid in (self.funding_txid, self.settle_txid)
+                if tid is not None and self.sim.chain.confirmations(tid) is not None),
             "stale_flagged": False,  # close settles the latest state, never an older one
             "datums_delivered": len(self.datums_delivered),
         }

@@ -9,6 +9,7 @@ evaluates true against its fact base.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
 from typing import Optional
@@ -38,33 +39,25 @@ from .wallet import Wallet, sign_inputs
 
 @dataclass
 class EscrowAgreement:
-    buyer_key: bytes
     seller_key: bytes
-    mediator_key: bytes
     amount: int
     outpoint: tuple[bytes, int]
     status: str = "Funded"
 
 
 def fund_escrow(
-    buyer_wallet: Wallet, seller_key: bytes, mediator_key: bytes, amount: int
+    buyer_wallet: Wallet, seller: bytes, mediator: bytes, amount: int
 ) -> EscrowAgreement:
-    """Lock ``amount`` under the 2-of-3 escrow; the release pays its fee out of
-    ``amount``, so ``amount`` must exceed the default fee."""
+    """Lock ``amount`` under the 2-of-3 escrow of the buyer's, the seller's and
+    the mediator's public keys; the release pays its fee out of ``amount``, so
+    ``amount`` must exceed the default fee."""
     fee = buyer_wallet.node.sim.config.default_fee
     if amount <= fee:
         raise ValueError(f"escrow amount {amount} does not exceed the fee {fee}")
-    buyer_key = buyer_wallet.keypair.public_key
     tx = buyer_wallet.send(
-        [TxOutput(amount, MultiSig(2, (buyer_key, seller_key, mediator_key)))]
+        [TxOutput(amount, MultiSig(2, (buyer_wallet.keypair.public_key, seller, mediator)))]
     )
-    return EscrowAgreement(
-        buyer_key=buyer_key,
-        seller_key=seller_key,
-        mediator_key=mediator_key,
-        amount=amount,
-        outpoint=(txid(tx), 0),
-    )
+    return EscrowAgreement(seller_key=seller, amount=amount, outpoint=(txid(tx), 0))
 
 
 def build_escrow_spend(
@@ -172,13 +165,8 @@ def parse_expression(text: str) -> tuple[str, str, float]:
     return fact, op, float(number)
 
 
-_OPS = {
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-    "==": lambda a, b: a == b,
-}
+_OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+        "==": operator.eq}
 
 
 @dataclass
@@ -188,10 +176,6 @@ class OracleService:
     keypair: crypto.KeyPair
     expressions: dict[str, tuple[str, str, float]] = field(default_factory=dict)
     facts: dict[str, float] = field(default_factory=dict)
-
-    @property
-    def public_key(self) -> bytes:
-        return self.keypair.public_key
 
     def register_expression(self, expression_id: str, text: str) -> None:
         self.expressions[expression_id] = parse_expression(text)
@@ -207,23 +191,13 @@ class OracleService:
             return False
         return _OPS[op](self.facts[fact], number)
 
-    def sign_settlement(
-        self, expression_id: str, settlement_tx: Transaction, input_index: int = 0
-    ) -> Optional[bytes]:
-        """Signature over the settlement, or None (refusal) if the expression
-        is currently false or its fact is unknown."""
+    def sign_settlement(self, expression_id: str, settlement_tx: Transaction) -> Optional[bytes]:
+        """Signature over the settlement's SIGHASH_ALL message, which every
+        input of it signs, or None (refusal) if the expression is currently
+        false or its fact is unknown."""
         if not self.evaluate(expression_id):
             return None
-        return crypto.sign(self.keypair, sighash(settlement_tx, input_index))
-
-
-def oracle_gated_output(
-    value: int, oracle: OracleService, expression_id: str, party_keys: tuple[bytes, bytes]
-) -> TxOutput:
-    return TxOutput(
-        value,
-        OracleGated(oracle.public_key, expression_id, MultiSig(2, party_keys)),
-    )
+        return crypto.sign(self.keypair, sighash(settlement_tx, 0))
 
 
 class OracleBet:
@@ -255,14 +229,13 @@ class OracleBet:
         self.expr_b = expression_b_wins
         self.settled: Optional[str] = None
         self.settle_txid: Optional[bytes] = None
-        keys = (self.key_a.public_key, self.key_b.public_key)
+        oracle_key = oracle.keypair.public_key
+        parties = MultiSig(2, (self.key_a.public_key, self.key_b.public_key))
         fee = self.sim.config.default_fee
         tx_a = party_a_wallet.create_tx(
-            [oracle_gated_output(stake, oracle, expression_a_wins, keys)], fee
-        )
+            [TxOutput(stake, OracleGated(oracle_key, expression_a_wins, parties))], fee)
         tx_b = party_b_wallet.create_tx(
-            [oracle_gated_output(stake, oracle, expression_b_wins, keys)], fee
-        )
+            [TxOutput(stake, OracleGated(oracle_key, expression_b_wins, parties))], fee)
         self.outpoint_a = (txid(tx_a), 0)
         self.outpoint_b = (txid(tx_b), 0)
         self.sim.broadcast(tx_a, self.node)
@@ -290,13 +263,10 @@ class OracleBet:
         winner_key = self.key_a if a_wins else self.key_b
         expression = self.expr_a if a_wins else self.expr_b
         tx = self.build_settlement(winner_key.key_digest)
-        inputs = []
-        for i, inp in enumerate(tx.inputs):
-            oracle_sig = self.oracle.sign_settlement(expression, tx, i)
-            if oracle_sig is None:
-                return None
-            inputs.append(TxInput(*inp.outpoint, Witness(oracle_signature=oracle_sig)))
-        tx = Transaction(tuple(inputs), tx.outputs)
+        # Both inputs sign the one SIGHASH_ALL message, and Ed25519 is
+        # deterministic: one oracle signature serves them both.
+        witness = Witness(oracle_signature=self.oracle.sign_settlement(expression, tx))
+        tx = Transaction(tuple(TxInput(*inp.outpoint, witness) for inp in tx.inputs), tx.outputs)
         signed = sign_inputs(tx, self.key_a, self.key_b)
         self.sim.broadcast(signed, self.node)
         self.settled = "a" if a_wins else "b"

@@ -12,7 +12,9 @@ follows that node (``Node.follow``) at its confirmation depth: it
 is handed every block once, when that block is deep enough, and reads only
 the block's transactions that pay or spend its own key digest
 (``Chain.txs_touching``); a payment or a delivery always pays it.  So it
-examines a confirmed transaction that concerns it once, and no other.
+examines a confirmed transaction that concerns it once, and no other.  That
+follow hook is each actor's only hook: the sensor's takes the block's payments
+as notices and then answers every pending one.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ class SensorActor:
         self,
         wallet: Wallet,
         price_per_datum: int,
-        datum_source: Callable[[float], bytes],
+        datum: bytes,
         confirmation_depth: int = 1,
         stores: Optional[list[datastore.Store]] = None,
         replication: int = 2,
@@ -67,16 +69,17 @@ class SensorActor:
         self.wallet = wallet
         self.sim = wallet.node.sim
         self.price_per_datum = price_per_datum
-        self.datum_source = datum_source
+        self.datum = datum
         self.stores = stores or []
         self.replication = replication
         self.actor_id = actor_id
         self._pending: list[PaymentNotice] = []
         self._rng = self.sim.rng(f"sensor/{actor_id}")
-        wallet.node.follow(self._scan_payments, confirmation_depth)
-        wallet.node.on_block.append(self._on_block)
+        wallet.node.follow(self._on_deep_block, confirmation_depth)
 
-    def _on_block(self, block: Block) -> None:
+    def _on_deep_block(self, block: Block) -> None:
+        """Take the block's payments as notices, then try every pending one."""
+        self._scan_payments(block)
         for notice in self.detect_payment():
             try:
                 self.fulfill(notice)
@@ -135,9 +138,8 @@ class SensorActor:
         fee = self.sim.config.default_fee
         if self.wallet.balance < MARKER_VALUE + fee:
             raise NoSensorFunds(f"need {MARKER_VALUE + fee}, wallet has {self.wallet.balance}")
-        datum = self.datum_source(self.sim.clock)
         envelope = crypto.encrypt_for(
-            notice.payer_public_key, datum, ephemeral_seed=self._rng.randbytes(32)
+            notice.payer_public_key, self.datum, ephemeral_seed=self._rng.randbytes(32)
         )
         data = datastore.seal(envelope, datastore.DATUM, self.stores, self.replication)
         payer_digest = crypto.key_digest(notice.payer_public_key)

@@ -271,13 +271,13 @@ def outputs_paying(tx: Transaction, key_digest: bytes) -> Iterator[tuple[int, Tx
             yield i, out
 
 
-def sighash(tx: Transaction, input_index: int) -> bytes:
-    """Message signed by witnesses of input ``input_index``.
+def sighash(tx: Transaction, index: int) -> bytes:
+    """Message signed by witnesses of input ``index``.
 
     The SIGHASH_ALL message is the same for every input, so it is hashed once
     per tx; an anyone-can-pay input's message is its own and is not kept.
     """
-    inp = tx.inputs[input_index]
+    inp = tx.inputs[index]
     if inp.anyone_can_pay:
         return crypto.digest(
             wire.u8(0xA1) + _serialize_input(inp, with_witness=False) + _serialize_tail(tx)
@@ -397,9 +397,7 @@ def validate_transaction(tx: Transaction, utxo: Union[Utxos, UtxoView], height: 
         if inp.outpoint in seen:
             raise MalformedTx("duplicate input outpoint")
         seen.add(inp.outpoint)
-    for out in tx.outputs:
-        if out.value < 0:
-            raise MalformedTx("negative output value")
+    for out in tx.outputs:  # a negative value does not encode, so ``txid`` refused it
         if out.payload is not None and len(out.payload) > MAX_PAYLOAD:
             raise MalformedTx(f"payload exceeds {MAX_PAYLOAD} bytes")
         check_predicate(out.predicate)

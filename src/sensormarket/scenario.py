@@ -16,10 +16,11 @@ and ``ASSERTION_FIELDS`` for the document, its config and its assertions) are
 the one place a field's type is defined: each field with its converter and its
 default.  ``parse_scenario`` converts every field once, in place, in one pass;
 it checks each actor id against the role its field needs, each store id
-against the other stores' and each channel, escrow or campaign id against the
-steps before it.  A value it cannot take is a ParseError naming the actor or
-step and the field, so the run reads typed values only.  The config becomes
-the run's ``SimConfig`` there too, so an unknown config key is a ParseError.
+against the other stores' and each channel, escrow, bet or campaign id against
+the steps before it (an id a step opens must be new).  A value it cannot take
+is a ParseError naming the actor or step and the field, so the run reads typed
+values only.  The config becomes the run's ``SimConfig`` there too, so an
+unknown config key is a ParseError.
 
 Actor key pairs are derived from the scenario name and actor id, so txids are
 stable across RNG seeds; the seed only moves block timing and message delays.
@@ -32,7 +33,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Optional
 
@@ -42,6 +44,7 @@ from .errors import (
     DoubleSpentPledge,
     InsufficientPledges,
     ParseError,
+    ReplicationUnsatisfiable,
     UnknownName,
 )
 from .exchange import RequesterActor, SensorActor
@@ -86,8 +89,8 @@ def load_scenario(path: str | Path, seed: Optional[int] = None) -> Scenario:
 #
 # A converter takes ``(value, where, known)``: a field's value, the dict that
 # holds it, and ``known``, the ids declared so far in each namespace (each actor
-# role, the channels and escrows earlier steps opened, the campaigns they
-# named).  It returns the typed value, or raises TypeError or ValueError.
+# role, the channels, escrows and bets earlier steps opened, the campaigns
+# they named).  It returns the typed value, or raises TypeError or ValueError.
 
 _REQUIRED = object()  # default of a field that must be given
 _OPTIONAL = object()  # default of a field that may stay absent
@@ -197,7 +200,9 @@ def _member(namespace: str):
 
 def _opens(namespace: str):
     def convert(value, where, known):
-        known[namespace].add(_text(value))
+        if _text(value) in known[namespace]:
+            raise ValueError(f"{value!r} already names a {namespace}")
+        known[namespace].add(value)
         return value
     return convert
 
@@ -257,7 +262,7 @@ _TYPES = {
     "flag": _flag, "true": _true, "kind": _kind, "funding": _funding,
     "object": _object, "objects": _objects,
     **{namespace: _member(namespace) for namespace in _NAMESPACES},
-    "new_channel": _opens("channel"), "new_escrow": _opens("escrow"),
+    **{f"new_{namespace}": _opens(namespace) for namespace in ("channel", "escrow", "bet")},
     "campaign": _campaign, "signers": _signers, "expression": _expression,
 }
 
@@ -322,7 +327,7 @@ OP_FIELDS = {op: _fields("at=0:time " + spec) for op, spec in {
     "assemble_assurance": "entrepreneur:actor goal?:count campaign=campaign:campaign",
     "set_fact": "oracle:oracle fact:text value:number",
     "create_bet": "party_a:payer party_b:payer oracle:oracle stake:count "
-                  "expression_a:expression expression_b:expression bet=bet:text",
+                  "expression_a:expression expression_b:expression bet=bet:new_bet",
     "tamper_store": "store:store position=0:count",
 }.items()}
 ASSERTION_FIELDS = _fields("path:text min?:number max?:number nonempty?:true")
@@ -339,7 +344,8 @@ def parse_scenario(text: str, seed: Optional[int] = None) -> Scenario:
         raise ParseError("scenario document is nested too deeply") from None
     if not isinstance(doc, dict):
         raise ParseError("scenario document must be a JSON object")
-    known: dict[str, set] = {namespace: set() for namespace in _NAMESPACES + ("campaign",)}
+    known: dict[str, set] = {namespace: set()
+                             for namespace in _NAMESPACES + ("campaign", "bet")}
     _convert(doc, DOC_FIELDS, known)
     ids = [actor.get("id") for actor in doc["actors"]]
     if not all(isinstance(i, str) for i in ids) or len(set(ids)) != len(ids):
@@ -471,7 +477,7 @@ class ScenarioRun:
                     lambda d, o=actor.oracle: self._ingest_fact(o, d.plaintext)
                 )
             if "sensor" in roles:  # its node's hooks hold it
-                SensorActor(actor.wallet, a["price"], lambda t, d=a["datum"]: d.encode(),
+                SensorActor(actor.wallet, a["price"], a["datum"].encode(),
                             a["confirmations"], stores, a["replication"], a["id"])
 
         for step in scenario.steps:
@@ -501,8 +507,7 @@ class ScenarioRun:
             price_per_datum=step["price"],
             endpoint=step["endpoint"],
         )
-        registry_mod.register_sensor(actor.wallet, record, self._stores,
-                                     actor.spec["replication"])
+        self._publish(registry_mod.register_sensor, actor, record)
 
     def _step_update_record(self, step: dict) -> None:
         actor = self._actors[step["actor"]]
@@ -515,8 +520,17 @@ class ScenarioRun:
             price_per_datum=step.get("price", current.price_per_datum),
             endpoint=step.get("endpoint", current.endpoint),
         )
-        registry_mod.update_record(actor.wallet, record, self._stores,
-                                   actor.spec["replication"])
+        self._publish(registry_mod.update_record, actor, record)
+
+    def _publish(self, send, actor: _Actor, record: registry_mod.SensorRecord) -> None:
+        """Send ``record`` with ``send``; a record too long to go inline, with
+        fewer stores than its replication, is logged and sends nothing, as a
+        datum is."""
+        try:
+            send(actor.wallet, record, self._stores, actor.spec["replication"])
+        except ReplicationUnsatisfiable as exc:
+            self.sim.log_event("record_unsealable", actor=actor.actor_id, name=record.name,
+                               error=str(exc))
 
     def _step_purchase(self, step: dict) -> None:
         actor = self._actors[step["actor"]]
@@ -546,7 +560,7 @@ class ScenarioRun:
             sensor.keypair,
             deposit=step["deposit"],
             expiry_height=step["expiry_height"],
-            datum_source=lambda t, d=sensor.spec["datum"]: d.encode(),
+            datum=sensor.spec["datum"].encode(),
         )
         self._channels[step["channel"]] = channel
 
@@ -757,7 +771,7 @@ class ScenarioRun:
             "registry": registry_rows,
             "registry_by_name": {row["name"]: row for row in registry_rows},
             "events": sim.events_log,
-            "event_counts": _count_by_kind(sim.events_log),
+            "event_counts": dict(Counter(event["kind"] for event in sim.events_log)),
             "safety": safety,
         }
         body = json.dumps(report, sort_keys=True, separators=(",", ":"))
@@ -790,13 +804,6 @@ class ScenarioRun:
     def dump_registry(self) -> str:
         rows = self.registry.dump()
         return json.dumps(rows, indent=2, sort_keys=True) + "\n"
-
-
-def _count_by_kind(events: list[dict]) -> dict[str, int]:
-    counts: dict[str, int] = {}
-    for event in events:
-        counts[event["kind"]] = counts.get(event["kind"], 0) + 1
-    return counts
 
 
 def evaluate_assertions(report: dict, assertions: list[dict]) -> list[dict]:

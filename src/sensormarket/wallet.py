@@ -8,8 +8,6 @@ each other's change without conflicts.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from . import crypto
 from .errors import InsufficientFunds
 from .ledger import (
@@ -113,10 +111,6 @@ class Wallet:
         tx = self.create_tx(payments, sim.config.default_fee)
         sim.broadcast(tx, self.node)
         return tx
-
-    def pay(self, key_digest: bytes, amount: int, fee: int,
-            payload: Optional[bytes] = None) -> Transaction:
-        return self.create_tx([TxOutput(amount, PayToKeyHash(key_digest), payload)], fee)
 
     def take_exact_utxo(self, amount: int) -> tuple[bytes, int]:
         """Remove and return an outpoint of exactly ``amount`` from the wallet."""

@@ -271,7 +271,8 @@ def test_10_fee_priority_matches_independent_greedy():
     rng = random.Random(9999)
     outputs = [(payer, 1_000)] * 50
     probe_sim = make_sim(outputs, mean_block_interval_s=1e9)
-    probe = Wallet(payer, probe_sim.nodes[0]).pay(receiver.key_digest, 900, fee=100)
+    probe = Wallet(payer, probe_sim.nodes[0]).create_tx(
+        [TxOutput(900, PayToKeyHash(receiver.key_digest))], fee=100)
     size = tx_size(probe)
     cap = 23 * size + size // 3
 

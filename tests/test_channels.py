@@ -26,13 +26,13 @@ FEE = 50
 DEPOSIT = 20_000
 
 
-def open_channel(expiry=1_000, funds=50_000, datum_source=lambda t: b"temp_c=21"):
+def open_channel(expiry=1_000, funds=50_000, datum=b"temp_c=21"):
     funder_kp, sensor_kp = make_keypair(30), make_keypair(31)
     sim = make_sim([(funder_kp, funds), (sensor_kp, 1_000)], num_nodes=2)
     funder_wallet = Wallet(funder_kp, sim.nodes[0])
     channel = Channel(
         funder_wallet, sensor_kp,
-        deposit=DEPOSIT, expiry_height=expiry, datum_source=datum_source,
+        deposit=DEPOSIT, expiry_height=expiry, datum=datum,
     )
     return sim, channel, funder_wallet, sensor_kp
 
@@ -90,7 +90,7 @@ def test_hundred_payments_two_onchain_transactions():
     channel.close()
     run_blocks(sim, 3)
     assert chain_tx_count(sim) == 2
-    assert channel.confirmed_onchain_count() == 2
+    assert channel.summary()["onchain_tx_count"] == 2
     # The settlement splits the deposit minus a shared fee.
     sensor_wallet = Wallet(sensor_kp, sim.nodes[0])
     assert sensor_wallet.balance == 1_000 + 1_000 - FEE // 2
@@ -126,7 +126,7 @@ def test_close_countersigns_the_latest_settlement():
     assert txid(settlement) == txid(sign_inputs(unsigned, funder_wallet.keypair, sensor_kp))
     assert channel.settle_txid == txid(settlement)
     run_blocks(sim, 3)
-    assert channel.confirmed_onchain_count() == 2
+    assert channel.summary()["onchain_tx_count"] == 2
     assert txid(settlement) in {txid(tx) for b in sim.chain.blocks for tx in b.transactions}
 
 
@@ -136,7 +136,7 @@ def test_close_before_funding_confirms_still_two_txs():
     channel.close()
     run_blocks(sim, 4)
     assert chain_tx_count(sim) == 2
-    assert channel.confirmed_onchain_count() == 2
+    assert channel.summary()["onchain_tx_count"] == 2
 
 
 def test_double_close_rejected():
@@ -174,13 +174,12 @@ def test_datum_per_payment():
     channel = Channel(
         wallet, sensor_kp,
         deposit=DEPOSIT, expiry_height=1_000,
-        datum_source=lambda t: b"temp_c=%d" % int(t),
+        datum=b"temp_c=22",
     )
     run_blocks(sim, 2)
     for _ in range(5):
         channel.pay(10)
-    assert len(channel.datums_delivered) == 5
-    assert all(d.startswith(b"temp_c=") for d in channel.datums_delivered)
+    assert channel.datums_delivered == [b"temp_c=22"] * 5
     assert channel.summary()["datums_delivered"] == 5
 
 

@@ -273,7 +273,7 @@ def test_sign_settlement_refusal():
     oracle.set_fact("rain_mm", 12.5)
     sig = oracle.sign_settlement("wet", tx)
     assert sig is not None
-    assert crypto.verify(oracle.public_key, sighash(tx, 0), sig)
+    assert crypto.verify(oracle.keypair.public_key, sighash(tx, 0), sig)
 
 
 def bet_setup():
@@ -299,6 +299,29 @@ def test_bet_settles_to_winner():
     # Winner takes both stakes minus the settlement fee.
     assert Wallet(a, sim.nodes[0]).balance == 10_000 - 1_000 - FEE + 2_000 - FEE
     assert bet.maybe_settle() is None  # settles only once
+
+
+def test_bet_settlement_takes_one_oracle_signature_for_both_inputs(monkeypatch):
+    sim, bet, oracle, a, b = bet_setup()
+    run_blocks(sim, 2)
+    oracle.set_fact("rain_mm", 12.5)
+    real_sign = crypto.sign
+    oracle_sigs = []
+
+    def counting_sign(keypair, message):
+        sig = real_sign(keypair, message)
+        if keypair is oracle.keypair:
+            oracle_sigs.append(sig)
+        return sig
+
+    monkeypatch.setattr(crypto, "sign", counting_sign)
+    settled = bet.maybe_settle()
+    assert len(oracle_sigs) == 1
+    assert [inp.witness.oracle_signature for inp in settled.inputs] == oracle_sigs * 2
+    for i in range(2):
+        assert crypto.verify(oracle.keypair.public_key, sighash(settled, i), oracle_sigs[0])
+    run_blocks(sim, 2)
+    assert sim.chain.confirmations(bet.settle_txid) is not None
 
 
 def test_bet_unspendable_without_oracle_signature():

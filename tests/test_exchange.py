@@ -8,7 +8,7 @@ from sensormarket import exchange
 from sensormarket.datastore import Store
 from sensormarket.errors import NoSensorFunds
 from sensormarket.exchange import MARKER_VALUE, RequesterActor, SensorActor
-from sensormarket.ledger import first_signer, txid
+from sensormarket.ledger import PayToKeyHash, TxOutput, first_signer, txid
 from sensormarket.wallet import Wallet
 
 from conftest import make_keypair, make_sim, run_blocks
@@ -26,7 +26,7 @@ def setup_pair(req_funds=100_000, sensor_funds=5_000, datum=b"pm25=12.5",
         num_nodes=2, default_fee=default_fee,
     )
     sensor = SensorActor(
-        Wallet(sensor_kp, sim.nodes[1]), PRICE, lambda t: datum,
+        Wallet(sensor_kp, sim.nodes[1]), PRICE, datum,
         stores=stores, **sensor_kwargs,
     )
     requester = RequesterActor(
@@ -144,10 +144,12 @@ def test_honest_replica_saves_the_fetch():
 @pytest.mark.parametrize("tag", [0x01, 0x02])  # a datum's inline and anchored tags
 def test_malformed_datum_payload_is_a_failed_delivery(tag):
     sim, requester, sensor = setup_pair()
-    sim.nodes[1].on_block.remove(sensor._on_block)
+    sensor.fulfill = lambda notice: None  # the payment stays pending, unanswered
     payment = requester.initiate_purchase(sensor.wallet.key_digest, PRICE)
-    bogus = sensor.wallet.pay(
-        requester.wallet.key_digest, MARKER_VALUE, FEE, payload=bytes([tag]) + b"short"
+    bogus = sensor.wallet.create_tx(
+        [TxOutput(MARKER_VALUE, PayToKeyHash(requester.wallet.key_digest),
+                  bytes([tag]) + b"short")],
+        fee=FEE,
     )
     sim.broadcast(bogus, sim.nodes[1])
     run_blocks(sim, 4)
@@ -174,13 +176,13 @@ def test_failed_fulfilment_stores_no_replica():
     sim, requester, sensor = setup_pair(
         sensor_funds=10, default_fee=500, datum=datum, stores=stores
     )
-    sim.nodes[1].on_block.remove(sensor._on_block)
+    sensor.fulfill = lambda notice: None  # only the calls below try the notice
     requester.initiate_purchase(sensor.wallet.key_digest, PRICE)
     run_blocks(sim, 4)
     [notice] = sensor.detect_payment()
     for _ in range(3):
         with pytest.raises(NoSensorFunds):
-            sensor.fulfill(notice)
+            SensorActor.fulfill(sensor, notice)
     assert [len(s.blobs) for s in stores] == [0, 0, 0]
     assert sensor.detect_payment() == [notice]
     run_blocks(sim, 2)
@@ -192,7 +194,8 @@ def test_unrelated_payment_between_actors_is_ignored():
     other = make_keypair(22)
     # A plain transfer from the sensor to the requester carries no datum
     # payload and must not be taken as a delivery.
-    tx = sensor.wallet.pay(requester.wallet.key_digest, 200, fee=FEE)
+    tx = sensor.wallet.create_tx([TxOutput(200, PayToKeyHash(requester.wallet.key_digest))],
+                                 fee=FEE)
     sim.broadcast(tx, sim.nodes[1])
     run_blocks(sim, 6)
     assert not requester.deliveries
@@ -206,7 +209,8 @@ def test_failed_fulfilment_is_retried_once_funded():
     run_blocks(sim, 8)
     assert not delivery_tags(sim, sensor)
     # The top-up funds the sensor, and is itself a payment it answers.
-    top_up = requester.wallet.pay(sensor.wallet.key_digest, 2_000, fee=500)
+    top_up = requester.wallet.create_tx(
+        [TxOutput(2_000, PayToKeyHash(sensor.wallet.key_digest))], fee=500)
     sim.broadcast(top_up, sim.nodes[0])
     run_blocks(sim, 8)
     # One delivery each for the payment and the top-up, and neither is still pending.
@@ -217,14 +221,14 @@ def test_failed_fulfilment_is_retried_once_funded():
 
 def test_detect_payment_is_idempotent_until_fulfilled():
     sim, requester, sensor = setup_pair()
-    sim.nodes[1].on_block.remove(sensor._on_block)
+    sensor.fulfill = lambda notice: None  # notices stay pending until fulfilled below
     requester.initiate_purchase(sensor.wallet.key_digest, PRICE)
     requester.initiate_purchase(sensor.wallet.key_digest, PRICE)
     run_blocks(sim, 4)
     first = sensor.detect_payment()
     assert len(first) == 2
     assert sensor.detect_payment() == first
-    sensor.fulfill(first[0])
+    SensorActor.fulfill(sensor, first[0])
     assert sensor.detect_payment() == first[1:]
 
 
@@ -235,10 +239,14 @@ def test_sensor_built_after_confirmation_sees_the_payment():
     payment = requester.initiate_purchase(sensor_kp.key_digest, PRICE)
     run_blocks(sim, 4)
     assert sim.chain.confirmations(txid(payment)) >= 3
-    sensor = SensorActor(Wallet(sensor_kp, sim.nodes[1]), PRICE, lambda t: b"late")
-    assert [n.payment_txid for n in sensor.detect_payment()] == [txid(payment)]
+    sensor = SensorActor(Wallet(sensor_kp, sim.nodes[1]), PRICE, b"late")
+    # Built on a chain where the payment is deep, it answers the payment at once.
+    assert not sensor.detect_payment()
+    [delivery] = [entry.tx for entry in sim.nodes[1].mempool.entries.values()]
+    assert first_signer(delivery) == sensor_kp.public_key
     run_blocks(sim, 4)
-    assert [d.plaintext for d in requester.deliveries] == [b"late"]
+    assert [(d.payment_txid, d.delivery_txid, d.plaintext) for d in requester.deliveries] == [
+        (txid(payment), txid(delivery), b"late")]
 
 
 def test_each_confirmed_tx_is_examined_once_per_actor(monkeypatch):

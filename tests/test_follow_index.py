@@ -106,10 +106,9 @@ class Market:
         self.wallets = [(Wallet(kp, node), RescanWallet(kp, node)) for kp in KEYS]
         self.sensors = []
         for wallet, _ in self.wallets[:2]:
-            twins = [cls(wallet, PRICE, lambda t: b"x")
-                     for cls in (SensorActor, RescanSensor)]
+            twins = [cls(wallet, PRICE, b"x") for cls in (SensorActor, RescanSensor)]
             for sensor in twins:
-                node.on_block.remove(sensor._on_block)  # scanning only, no fulfilment
+                sensor.fulfill = lambda notice: None  # scanning only, no fulfilment
             self.sensors.append(twins)
         self.requesters = []
         for wallet, _ in self.wallets[2:]:

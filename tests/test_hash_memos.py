@@ -13,6 +13,8 @@ import pytest
 from sensormarket import ledger
 from sensormarket.cli import bundled_scenarios
 from sensormarket.ledger import (
+    PayToKeyHash,
+    TxOutput,
     block_hash,
     deserialize_block,
     serialize_block,
@@ -83,7 +85,8 @@ def test_a_wallet_tx_validates_without_building_its_sighash_again(monkeypatch):
     witnesses out, so the signed tx's first validation builds none."""
     a = make_keypair(0)
     sim = make_sim([(a, 1000), (a, 2000)])
-    tx = Wallet(a, sim.nodes[0]).pay(make_keypair(1).key_digest, 2500, 10)
+    payment = TxOutput(2500, PayToKeyHash(make_keypair(1).key_digest))
+    tx = Wallet(a, sim.nodes[0]).create_tx([payment], fee=10)
     assert len(tx.inputs) == 2
     tails = count_calls(monkeypatch, "_serialize_tail")
     fee = validate_transaction(tx, sim.chain.utxo, 1)

@@ -254,6 +254,28 @@ def test_an_assertion_that_nonempty_is_false_is_refused():
     assert spec["nonempty"] is True
 
 
+@pytest.mark.parametrize("namespace", ["channel", "escrow", "bet"])
+def test_a_reused_contract_id_is_refused(namespace):
+    # Two contracts under one id both ran, and the report kept only the second.
+    actors = [{"id": "a", "kind": "requester", "funding": 100_000}, {"id": "o", "kind": "oracle"}]
+    expr = {"id": "wet", "text": "rain_mm > 10"}
+    step = {"at": 0, **{
+        "channel": {"op": "open_channel", "actor": "a", "sensor": "a", "deposit": 5_000,
+                    "expiry_height": 50},
+        "escrow": {"op": "fund_escrow", "buyer": "a", "seller": "a", "mediator": "a",
+                   "amount": 500},
+        "bet": {"op": "create_bet", "party_a": "a", "party_b": "a", "oracle": "o", "stake": 5,
+                "expression_a": expr, "expression_b": expr},
+    }[namespace]}
+    [parsed] = parse_scenario(_doc(actors=actors, steps=[step])).steps
+    default = parsed[namespace]
+    with pytest.raises(ParseError, match=f"step 1 '{step['op']}': bad '{namespace}': "
+                                         f"'{default}' already names a {namespace}"):
+        parse_scenario(_doc(actors=actors, steps=[step, step]))
+    two = parse_scenario(_doc(actors=actors, steps=[step, {**step, namespace: "second"}]))
+    assert [s[namespace] for s in two.steps] == [default, "second"]
+
+
 def test_parse_accepts_bundled_files():
     for path in bundled_scenarios().values():
         scenario = load_scenario(path)
@@ -341,6 +363,29 @@ def test_sensor_that_cannot_seal_its_datum_does_not_end_the_run(store_actors):
     assert event["sensor"] == "pm25"
     assert "exceeds" in event["error"]
     assert all(not a.store.blobs for a in run._actors.values() if a.store is not None)
+
+
+@pytest.mark.parametrize("op", ["register_sensor", "update_record"])
+def test_a_record_that_cannot_be_sealed_does_not_end_the_run(op):
+    # With no store, a record too long for a payload cannot be anchored: the
+    # step logs it and sends nothing, as a sensor does with such a datum.
+    endpoint = "https://sensors.example.org/air-quality/pm25/station-0042"
+    register = {"at": 0, "op": "register_sensor", "actor": "pm25"}
+    steps = {
+        "register_sensor": [{**register, "endpoint": endpoint}],
+        "update_record": [register, {"at": 6000, "op": "update_record", "actor": "pm25",
+                                     "name": "pm25", "endpoint": endpoint}],
+    }[op]
+    doc = {"name": "unsealable_record",
+           "actors": [{"id": "pm25", "kind": "sensor", "funding": 1000}], "steps": steps}
+    report = ScenarioRun(parse_scenario(json.dumps(doc))).execute()
+    [event] = [e for e in report["events"] if e["kind"] == "record_unsealable"]
+    assert (event["actor"], event["name"]) == ("pm25", "pm25")
+    assert "exceeds 0 stores" in event["error"]
+    assert report["event_counts"] == {"record_unsealable": 1}
+    # Only the inline registration of the update case reached the chain.
+    assert report["chain"]["tx_count"] == len(steps) - 1
+    assert [row["endpoint"] for row in report["registry"]] == ["inline"] * (len(steps) - 1)
 
 
 def test_long_scenario_record_is_anchored_on_the_run_stores():

@@ -120,7 +120,7 @@ def test_rejected_block_keeps_the_memo_of_its_valid_txs():
 def test_simulation_holds_no_memo_for_confirmed_txs():
     sim = make_sim([(A, 10_000)], num_nodes=2)
     wallet = Wallet(A, sim.nodes[0])
-    tx = wallet.pay(B.key_digest, 100, fee=10)
+    tx = wallet.create_tx([TxOutput(100, PayToKeyHash(B.key_digest))], fee=10)
     sim.broadcast(tx, sim.nodes[0])
     assert verified_signatures(tx)
     run_blocks(sim, 2)
@@ -138,7 +138,7 @@ def test_verify_calls_per_confirmed_tx(verify_calls):
     for round_ in range(6):
         for i, wallet in enumerate(wallets):
             payee = keys[(i + round_ + 1) % len(keys)]
-            tx = wallet.pay(payee.key_digest, 100 + round_, fee=20)
+            tx = wallet.create_tx([TxOutput(100 + round_, PayToKeyHash(payee.key_digest))], fee=20)
             sim.broadcast(tx, wallet.node)
         run_blocks(sim, 1)
     run_blocks(sim, 3)

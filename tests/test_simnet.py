@@ -90,7 +90,7 @@ def test_broadcast_reaches_all_nodes_after_delay():
     kp, other = make_keypair(0), make_keypair(1)
     sim = make_sim([(kp, 10_000)], num_nodes=3, mean_block_interval_s=1e9)
     wallet = Wallet(kp, sim.nodes[0])
-    tx = wallet.pay(other.key_digest, 100, fee=10)
+    tx = wallet.create_tx([TxOutput(100, PayToKeyHash(other.key_digest))], fee=10)
     sim.broadcast(tx, sim.nodes[0])
     assert txid(tx) in sim.nodes[0].mempool
     assert txid(tx) not in sim.nodes[1].mempool  # not yet delivered
@@ -103,7 +103,7 @@ def test_when_confirmed_fires_once_at_depth():
     kp, other = make_keypair(0), make_keypair(1)
     sim = make_sim([(kp, 10_000)], mean_block_interval_s=30.0)
     wallet = Wallet(kp, sim.nodes[0])
-    tx = wallet.pay(other.key_digest, 100, fee=10)
+    tx = wallet.create_tx([TxOutput(100, PayToKeyHash(other.key_digest))], fee=10)
     sim.broadcast(tx, sim.nodes[0])
     hits = []
     sim.nodes[0].when_confirmed(txid(tx), 2, lambda: hits.append(sim.chain.height))
@@ -118,7 +118,7 @@ def test_when_confirmed_waits_in_the_hook_list_and_fires_once():
     kp, other = make_keypair(0), make_keypair(1)
     sim = make_sim([(kp, 10_000)], mean_block_interval_s=30.0)
     node = sim.nodes[0]
-    tx = Wallet(kp, node).pay(other.key_digest, 100, fee=10)
+    tx = Wallet(kp, node).create_tx([TxOutput(100, PayToKeyHash(other.key_digest))], fee=10)
     hooks = len(node.on_block)
     waited, deep = [], []
     node.when_confirmed(txid(tx), 1, lambda: waited.append(node.known_height))
@@ -164,7 +164,7 @@ def test_block_hooks_run_in_registration_order():
     kp, other = make_keypair(0), make_keypair(1)
     sim = make_sim([(kp, 10_000)], mean_block_interval_s=30.0)
     node = sim.nodes[0]
-    tx = Wallet(kp, node).pay(other.key_digest, 100, fee=10)
+    tx = Wallet(kp, node).create_tx([TxOutput(100, PayToKeyHash(other.key_digest))], fee=10)
     sim.broadcast(tx, node)
     order = []
     node.follow(lambda b: order.append("follow"))
@@ -216,7 +216,7 @@ def test_same_seed_same_history():
                 i * 100.0,
                 "pay",
                 lambda w=wallet, o=other: sim.broadcast(
-                    w.pay(o.key_digest, 100, fee=10), sim.nodes[0]
+                    w.create_tx([TxOutput(100, PayToKeyHash(o.key_digest))], fee=10), sim.nodes[0]
                 ),
             )
         sim.run_until(3000.0)

@@ -22,7 +22,7 @@ def test_balance_tracks_confirmed_outputs():
     sim = make_sim([(kp, 10_000)])
     wallet = Wallet(kp, sim.nodes[0])
     assert wallet.balance == 10_000
-    tx = wallet.pay(other.key_digest, 3_000, fee=50)
+    tx = wallet.create_tx([TxOutput(3_000, PayToKeyHash(other.key_digest))], fee=50)
     # Inputs deducted immediately, change credited immediately.
     assert wallet.balance == 10_000 - 3_000 - 50
     sim.broadcast(tx, sim.nodes[0])
@@ -36,8 +36,9 @@ def test_change_spendable_before_confirmation():
     kp, other = make_keypair(0), make_keypair(1)
     sim = make_sim([(kp, 10_000)])
     wallet = Wallet(kp, sim.nodes[0])
-    t1 = wallet.pay(other.key_digest, 1_000, fee=50)
-    t2 = wallet.pay(other.key_digest, 1_000, fee=50)  # spends t1's change
+    payment = TxOutput(1_000, PayToKeyHash(other.key_digest))
+    t1 = wallet.create_tx([payment], fee=50)
+    t2 = wallet.create_tx([payment], fee=50)  # spends t1's change
     assert t2.inputs[0].prev_txid == txid(t1)
     sim.broadcast(t1, sim.nodes[0])
     sim.broadcast(t2, sim.nodes[0])
@@ -50,7 +51,7 @@ def test_insufficient_funds():
     sim = make_sim([(kp, 100)])
     wallet = Wallet(kp, sim.nodes[0])
     with pytest.raises(InsufficientFunds):
-        wallet.pay(other.key_digest, 100, fee=1)
+        wallet.create_tx([TxOutput(100, PayToKeyHash(other.key_digest))], fee=1)
 
 
 def test_exact_utxo_split_and_take():
@@ -59,7 +60,7 @@ def test_exact_utxo_split_and_take():
     wallet = Wallet(kp, sim.nodes[0])
     with pytest.raises(InsufficientFunds):
         wallet.take_exact_utxo(400)  # no output of exactly 400 yet
-    split = wallet.pay(kp.key_digest, 400, fee=50)
+    split = wallet.create_tx([TxOutput(400, PayToKeyHash(kp.key_digest))], fee=50)
     sim.broadcast(split, sim.nodes[0])
     run_blocks(sim, 2)
     outpoint = wallet.take_exact_utxo(400)
@@ -74,7 +75,8 @@ def test_wallet_on_existing_chain_scans_history():
     kp, other = make_keypair(0), make_keypair(1)
     sim = make_sim([(kp, 10_000)])
     wallet = Wallet(kp, sim.nodes[0])
-    sim.broadcast(wallet.pay(other.key_digest, 2_500, fee=50), sim.nodes[0])
+    sim.broadcast(wallet.create_tx([TxOutput(2_500, PayToKeyHash(other.key_digest))], fee=50),
+                  sim.nodes[0])
     run_blocks(sim, 2)
     late = Wallet(other, sim.nodes[0])
     assert late.balance == 2_500
