@@ -76,9 +76,7 @@ class Channel:
 
         funding = funder_wallet.create_tx(
             [TxOutput(deposit, MultiSig(2, (self.funder_keypair.public_key,
-                                            sensor_keypair.public_key)))],
-            fee=self.sim.config.default_fee,
-        )
+                                            sensor_keypair.public_key)))])
         self.funding_txid = txid(funding)
         refund = self._build_settlement(deposit, 0, sensor_keypair, lock_height=expiry_height)
         self.state = ChannelState(0, deposit, 0, refund)

@@ -231,11 +231,10 @@ class OracleBet:
         self.settle_txid: Optional[bytes] = None
         oracle_key = oracle.keypair.public_key
         parties = MultiSig(2, (self.key_a.public_key, self.key_b.public_key))
-        fee = self.sim.config.default_fee
         tx_a = party_a_wallet.create_tx(
-            [TxOutput(stake, OracleGated(oracle_key, expression_a_wins, parties))], fee)
+            [TxOutput(stake, OracleGated(oracle_key, expression_a_wins, parties))])
         tx_b = party_b_wallet.create_tx(
-            [TxOutput(stake, OracleGated(oracle_key, expression_b_wins, parties))], fee)
+            [TxOutput(stake, OracleGated(oracle_key, expression_b_wins, parties))])
         self.outpoint_a = (txid(tx_a), 0)
         self.outpoint_b = (txid(tx_b), 0)
         self.sim.broadcast(tx_a, self.node)

@@ -124,11 +124,10 @@ class SensorActor:
             self._pending.append(PaymentNotice(txid(tx), payer_key))
 
     def _is_plain_payment(self, tx: Transaction) -> bool:
-        """True when every input spends an ordinary key-hash output."""
+        """True when every input spends an ordinary key-hash output (the tx
+        is confirmed, so each input's tx is on the chain)."""
         for inp in tx.inputs:
             prev = self.sim.chain.find_tx(inp.prev_txid)
-            if prev is None:
-                return False
             if not isinstance(prev.outputs[inp.prev_index].predicate, PayToKeyHash):
                 return False
         return True

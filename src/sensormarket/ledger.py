@@ -367,18 +367,6 @@ class UtxoView:
         return self._created.get(outpoint)
 
 
-def tx_fee(tx: Transaction, utxo: Utxos) -> int:
-    """The fee summed on its own: the tests' reference for the fee that
-    ``validate_transaction`` returns."""
-    total_in = 0
-    for inp in tx.inputs:
-        prev = utxo.get(inp.outpoint)
-        if prev is None:
-            raise MissingUtxo(f"input {inp.prev_txid.hex()[:16]}:{inp.prev_index} not unspent")
-        total_in += prev.value
-    return total_in - sum(out.value for out in tx.outputs)
-
-
 def validate_transaction(tx: Transaction, utxo: Union[Utxos, UtxoView], height: int) -> int:
     """Return the fee, or raise a ValidationError naming the first failing rule.
 

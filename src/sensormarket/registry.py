@@ -14,7 +14,7 @@ from typing import Optional
 
 from . import crypto, datastore, wire
 from .errors import AnchorMismatch, MalformedTx, UnknownName
-from .ledger import Block, Chain, PayToKeyHash, Transaction, TxOutput, first_signer, txid
+from .ledger import Block, PayToKeyHash, Transaction, TxOutput, first_signer, txid
 from .wallet import Wallet
 
 MAX_NAME_LEN = 64
@@ -119,16 +119,6 @@ class Registry:
                 continue  # ownership transfers are out of scope
             entry.record = record
             entry.last_update_height = block.height
-
-    @classmethod
-    def rescan(cls, chain: Chain,
-               stores: Optional[list[datastore.Store]] = None) -> "Registry":
-        """The index rebuilt from genesis on its own: the tests' reference for
-        the index that ``apply_block`` keeps block by block."""
-        registry = cls(stores)
-        for block in chain.blocks:
-            registry.apply_block(block)
-        return registry
 
     def lookup(self, name: str) -> SensorRecord:
         entry = self.index.get(name)

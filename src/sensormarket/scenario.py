@@ -511,16 +511,24 @@ class ScenarioRun:
 
     def _step_update_record(self, step: dict) -> None:
         actor = self._actors[step["actor"]]
-        current = self.registry.lookup(step["name"])
-        record = registry_mod.SensorRecord(
-            name=current.name,
-            owner_key_digest=current.owner_key_digest,
-            payment_digest=current.payment_digest,
-            data_type=step.get("data_type", current.data_type),
-            price_per_datum=step.get("price", current.price_per_datum),
-            endpoint=step.get("endpoint", current.endpoint),
-        )
-        self._publish(registry_mod.update_record, actor, record)
+
+        def attempt() -> bool:  # the name may not be registered yet: wait for it
+            try:
+                current = self.registry.lookup(step["name"])
+            except UnknownName:
+                return False
+            record = registry_mod.SensorRecord(
+                name=current.name,
+                owner_key_digest=current.owner_key_digest,
+                payment_digest=current.payment_digest,
+                data_type=step.get("data_type", current.data_type),
+                price_per_datum=step.get("price", current.price_per_datum),
+                endpoint=step.get("endpoint", current.endpoint),
+            )
+            self._publish(registry_mod.update_record, actor, record)
+            return True
+
+        actor.node.retry(attempt)
 
     def _publish(self, send, actor: _Actor, record: registry_mod.SensorRecord) -> None:
         """Send ``record`` with ``send``; a record too long to go inline, with
@@ -840,9 +848,3 @@ def _resolve_path(doc: Any, path: str) -> Any:
             return None
     return node
 
-
-def run_scenario(path: str | Path, seed: Optional[int] = None) -> tuple[dict, int]:
-    """Load, execute and judge a scenario; returns (report, exit_code)."""
-    report = ScenarioRun(load_scenario(path, seed)).execute()
-    failed = [r for r in report["assertions"] if not r["ok"]]
-    return report, (1 if failed else 0)

@@ -79,12 +79,14 @@ class Wallet:
                 return picked
         raise InsufficientFunds(f"need {needed}, wallet holds {total}")
 
-    def create_tx(self, payments: list[TxOutput], fee: int) -> Transaction:
-        """Build, sign and account for a transaction paying ``payments``.
+    def create_tx(self, payments: list[TxOutput]) -> Transaction:
+        """Build, sign and account for a transaction paying ``payments`` at the
+        default fee.
 
         Inputs are deducted from the wallet immediately and any change output
         becomes spendable right away.
         """
+        fee = self.node.sim.config.default_fee
         total_out = sum(p.value for p in payments)
         coins = self._select_coins(total_out + fee)
         total_in = sum(v for _, v in coins)
@@ -105,11 +107,9 @@ class Wallet:
         return tx
 
     def send(self, payments: list[TxOutput]) -> Transaction:
-        """``create_tx`` at the default fee, broadcast from this wallet's node:
-        how an actor pays."""
-        sim = self.node.sim
-        tx = self.create_tx(payments, sim.config.default_fee)
-        sim.broadcast(tx, self.node)
+        """``create_tx``, broadcast from this wallet's node: how an actor pays."""
+        tx = self.create_tx(payments)
+        self.node.sim.broadcast(tx, self.node)
         return tx
 
     def take_exact_utxo(self, amount: int) -> tuple[bytes, int]:

@@ -6,12 +6,14 @@ import pytest
 from hypothesis import settings
 
 from sensormarket import crypto
+from sensormarket.errors import MissingUtxo
 from sensormarket.ledger import (
     Block,
     Chain,
     PayToKeyHash,
     Transaction,
     TxOutput,
+    Utxos,
     block_hash,
 )
 from sensormarket.simnet import SimConfig, Simulation
@@ -59,6 +61,18 @@ def mine(chain: Chain, txs, fee_reward: int) -> Block:
     block = next_block(chain, txs, fee_reward)
     chain.apply_block(block)
     return block
+
+
+def tx_fee(tx: Transaction, utxo: Utxos) -> int:
+    """The fee summed on its own: the reference for the fee that
+    ``validate_transaction`` returns."""
+    total_in = 0
+    for inp in tx.inputs:
+        prev = utxo.get(inp.outpoint)
+        if prev is None:
+            raise MissingUtxo(f"input {inp.prev_txid.hex()[:16]}:{inp.prev_index} not unspent")
+        total_in += prev.value
+    return total_in - sum(out.value for out in tx.outputs)
 
 
 def make_sim(fundings: list[tuple[crypto.KeyPair, int]], **config_kwargs) -> Simulation:

@@ -31,16 +31,15 @@ from sensormarket.ledger import (
     Transaction,
     TxInput,
     TxOutput,
-    tx_fee,
     tx_size,
     txid,
     validate_transaction,
 )
-from sensormarket.scenario import run_scenario
+from sensormarket.scenario import ScenarioRun, load_scenario
 from sensormarket.simnet import SimConfig, Simulation
 from sensormarket.wallet import Wallet, sign_inputs
 
-from conftest import make_chain, make_keypair, make_sim, mine, run_blocks
+from conftest import make_chain, make_keypair, make_sim, mine, run_blocks, tx_fee
 
 
 def verdict(criterion: str, ok: bool) -> None:
@@ -48,20 +47,27 @@ def verdict(criterion: str, ok: bool) -> None:
     assert ok, criterion
 
 
+def run_report(path, seed=None) -> dict:
+    return ScenarioRun(load_scenario(path, seed)).execute()
+
+
+def passed(report: dict) -> bool:
+    return all(r["ok"] for r in report["assertions"])
+
+
 @lru_cache(maxsize=None)
-def scenario_report(name: str):
-    report, code = run_scenario(bundled_scenarios()[name])
-    return report, code
+def scenario_report(name: str) -> dict:
+    return run_report(bundled_scenarios()[name])
 
 
 def test_01_atomic_exchange_two_transactions():
     started = time.perf_counter()
-    report, code = run_scenario(bundled_scenarios()["atomic_exchange"])
+    report = run_report(bundled_scenarios()["atomic_exchange"])
     elapsed = time.perf_counter() - started
     row = report["exchanges"]["rows"][0]
     # The chain holds the registration plus exactly the two exchange txs.
     ok = (
-        code == 0
+        passed(report)
         and report["chain"]["tx_count"] == 3
         and row["onchain_txs"] == 2
         and row["plaintext"] == "pm25=12.5"  # byte-equal to the sensor's datum
@@ -84,10 +90,10 @@ def test_02_block_timing_mean_within_five_percent():
 
 
 def test_03_channel_thousand_payments_two_txs():
-    report, code = scenario_report("weather_subscription_channel")
+    report = scenario_report("weather_subscription_channel")
     summary = next(iter(report["channels"].values()))
     ok = (
-        code == 0
+        passed(report)
         and summary["sequence"] == 1_000
         and summary["paid_total"] == 1_000 * 10
         and summary["balance_sensor"] == 1_000 * 10  # exact sum of increments
@@ -198,9 +204,9 @@ def test_06_oracle_gating():
 
 
 def test_07_tamper_evidence():
-    report, code = scenario_report("tampered_datastore")
+    report = scenario_report("tampered_datastore")
     scenario_ok = (
-        code == 0
+        passed(report)
         and report["exchanges"]["fulfilled"] == 1
         and report["event_counts"].get("replica_tampered", 0) >= 1
     )
@@ -223,9 +229,9 @@ def test_07_tamper_evidence():
 def test_08_conservation_over_all_scenarios():
     ok = True
     for name, path in bundled_scenarios().items():
-        report, code = scenario_report(name)
+        report = scenario_report(name)
         chain = _rebuild_values(name)
-        ok = ok and code == 0 and chain
+        ok = ok and passed(report) and chain
     verdict("8 ledger safety: no double spends, value conserved everywhere", ok)
 
 
@@ -257,11 +263,11 @@ def _rebuild_values(name: str) -> bool:
 def test_09_determinism():
     ok = True
     for name, path in bundled_scenarios().items():
-        first, code_a = run_scenario(path)
-        second, code_b = run_scenario(path)
-        ok = ok and code_a == code_b == 0 and first["digest"] == second["digest"]
-        reseeded, code_c = run_scenario(path, seed=31337)
-        ok = ok and code_c == 0  # assertions hold under a different seed
+        first = run_report(path)
+        second = run_report(path)
+        ok = ok and passed(first) and passed(second) and first["digest"] == second["digest"]
+        reseeded = run_report(path, seed=31337)
+        ok = ok and passed(reseeded)  # assertions hold under a different seed
     verdict("9 determinism: same seed -> same digest, any seed -> green", ok)
 
 
@@ -270,9 +276,9 @@ def test_10_fee_priority_matches_independent_greedy():
     receiver = make_keypair(231)
     rng = random.Random(9999)
     outputs = [(payer, 1_000)] * 50
-    probe_sim = make_sim(outputs, mean_block_interval_s=1e9)
+    probe_sim = make_sim(outputs, mean_block_interval_s=1e9, default_fee=100)
     probe = Wallet(payer, probe_sim.nodes[0]).create_tx(
-        [TxOutput(900, PayToKeyHash(receiver.key_digest))], fee=100)
+        [TxOutput(900, PayToKeyHash(receiver.key_digest))])
     size = tx_size(probe)
     cap = 23 * size + size // 3
 

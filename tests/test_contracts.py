@@ -32,7 +32,7 @@ from sensormarket.ledger import (
 )
 from sensormarket.wallet import Wallet, sign_inputs
 
-from conftest import make_keypair, make_sim, run_blocks
+from conftest import make_keypair, make_sim, run_blocks, tx_fee
 
 
 FEE = 50
@@ -222,7 +222,6 @@ def test_assembly_threshold_property(amounts, goal):
         validate_transaction(tx, sim.chain.utxo, sim.chain.height + 1)
         assert sum(o.value for o in tx.outputs) == goal
         # Conservation: the excess over the goal is exactly the fee.
-        from sensormarket.ledger import tx_fee
         assert tx_fee(tx, sim.chain.utxo) == total - goal
     else:
         with pytest.raises(InsufficientPledges) as exc:

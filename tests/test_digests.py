@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import sensormarket
-from sensormarket.scenario import run_scenario
+from sensormarket.scenario import ScenarioRun, load_scenario
 
 SCENARIOS = Path(sensormarket.__file__).parent / "scenarios"
 
@@ -82,16 +82,16 @@ def small_market() -> dict:
 
 @pytest.mark.parametrize("name", sorted(BUNDLED_DIGESTS))
 def test_bundled_scenario_digest(name):
-    report, code = run_scenario(SCENARIOS / f"{name}.json")
-    assert code == 0
+    report = ScenarioRun(load_scenario(SCENARIOS / f"{name}.json")).execute()
+    assert all(r["ok"] for r in report["assertions"]), report["assertions"]
     assert report["digest"] == BUNDLED_DIGESTS[name]
 
 
 def test_small_market_digest(tmp_path):
     path = tmp_path / "small_market.json"
     path.write_text(json.dumps(small_market()))
-    report, code = run_scenario(path)
-    assert code == 0
+    report = ScenarioRun(load_scenario(path)).execute()
+    assert all(r["ok"] for r in report["assertions"]), report["assertions"]
     assert report["chain"]["height"] >= 15
     assert report["exchanges"]["fulfilled"] >= 20
     rows = report["exchanges"]["rows"]

@@ -5,6 +5,8 @@ from collections import Counter
 import pytest
 
 from sensormarket import exchange
+from sensormarket.channels import Channel
+from sensormarket.contracts import escrow_release, fund_escrow
 from sensormarket.datastore import Store
 from sensormarket.errors import NoSensorFunds
 from sensormarket.exchange import MARKER_VALUE, RequesterActor, SensorActor
@@ -149,7 +151,6 @@ def test_malformed_datum_payload_is_a_failed_delivery(tag):
     bogus = sensor.wallet.create_tx(
         [TxOutput(MARKER_VALUE, PayToKeyHash(requester.wallet.key_digest),
                   bytes([tag]) + b"short")],
-        fee=FEE,
     )
     sim.broadcast(bogus, sim.nodes[1])
     run_blocks(sim, 4)
@@ -194,11 +195,35 @@ def test_unrelated_payment_between_actors_is_ignored():
     other = make_keypair(22)
     # A plain transfer from the sensor to the requester carries no datum
     # payload and must not be taken as a delivery.
-    tx = sensor.wallet.create_tx([TxOutput(200, PayToKeyHash(requester.wallet.key_digest))],
-                                 fee=FEE)
+    tx = sensor.wallet.create_tx([TxOutput(200, PayToKeyHash(requester.wallet.key_digest))])
     sim.broadcast(tx, sim.nodes[1])
     run_blocks(sim, 6)
     assert not requester.deliveries
+
+
+@pytest.mark.parametrize("payout", ["channel_close", "escrow_release"])
+def test_contract_payout_to_the_sensor_is_no_request(payout):
+    # Either payout spends a multisig output and pays the sensor more than its
+    # price, yet it is no datum request: no notice, no delivery.
+    sim, requester, sensor = setup_pair()
+    if payout == "channel_close":
+        channel = Channel(requester.wallet, sensor.wallet.keypair, deposit=5 * PRICE,
+                          expiry_height=50, datum=b"x")
+        channel.pay(3 * PRICE)
+        run_blocks(sim, 2)
+        tx = channel.close()
+    else:
+        agreement = fund_escrow(requester.wallet, sensor.wallet.keypair.public_key,
+                                make_keypair(23).public_key, 5 * PRICE)
+        run_blocks(sim, 2)
+        tx = escrow_release(sim.nodes[0], agreement, requester.wallet.keypair,
+                            make_keypair(23), sensor.wallet.key_digest)
+    run_blocks(sim, 6)
+    assert txid(tx) in sim.chain.tx_index
+    assert sensor.wallet.balance > 5_000 + PRICE
+    assert not sensor.detect_payment()
+    assert not delivery_tags(sim, sensor)
+    assert not any(e["kind"] == "underpayment" for e in sim.events_log)
 
 
 # --- incremental scanning ---------------------------------------------------
@@ -210,7 +235,7 @@ def test_failed_fulfilment_is_retried_once_funded():
     assert not delivery_tags(sim, sensor)
     # The top-up funds the sensor, and is itself a payment it answers.
     top_up = requester.wallet.create_tx(
-        [TxOutput(2_000, PayToKeyHash(sensor.wallet.key_digest))], fee=500)
+        [TxOutput(2_000, PayToKeyHash(sensor.wallet.key_digest))])
     sim.broadcast(top_up, sim.nodes[0])
     run_blocks(sim, 8)
     # One delivery each for the payment and the top-up, and neither is still pending.

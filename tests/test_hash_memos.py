@@ -19,7 +19,6 @@ from sensormarket.ledger import (
     deserialize_block,
     serialize_block,
     sighash,
-    tx_fee,
     tx_size,
     txid,
     validate_transaction,
@@ -27,7 +26,7 @@ from sensormarket.ledger import (
 from sensormarket.scenario import ScenarioRun, load_scenario, parse_scenario
 from sensormarket.wallet import Wallet
 
-from conftest import make_keypair, make_sim
+from conftest import make_keypair, make_sim, tx_fee
 from test_digests import small_market
 
 
@@ -84,9 +83,9 @@ def test_a_wallet_tx_validates_without_building_its_sighash_again(monkeypatch):
     """Signing keeps the unsigned tx's SIGHASH_ALL message, which leaves
     witnesses out, so the signed tx's first validation builds none."""
     a = make_keypair(0)
-    sim = make_sim([(a, 1000), (a, 2000)])
+    sim = make_sim([(a, 1000), (a, 2000)], default_fee=10)
     payment = TxOutput(2500, PayToKeyHash(make_keypair(1).key_digest))
-    tx = Wallet(a, sim.nodes[0]).create_tx([payment], fee=10)
+    tx = Wallet(a, sim.nodes[0]).create_tx([payment])
     assert len(tx.inputs) == 2
     tails = count_calls(monkeypatch, "_serialize_tail")
     fee = validate_transaction(tx, sim.chain.utxo, 1)

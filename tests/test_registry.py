@@ -69,7 +69,7 @@ def test_non_utf8_name_is_malformed():
 def test_registration_with_non_utf8_name_is_not_indexed():
     sim, registry, kps, wallets = registry_setup()
     data = b"\x03" + _non_utf8_name(record_for(kps[0], "abc"))  # an inline registration
-    tx = wallets[0].create_tx([TxOutput(0, PayToKeyHash(kps[0].key_digest), data)], fee=50)
+    tx = wallets[0].create_tx([TxOutput(0, PayToKeyHash(kps[0].key_digest), data)])
     sim.broadcast(tx, sim.nodes[0])
     register_sensor(wallets[1], record_for(kps[1], "valid"))
     run_blocks(sim, 3)
@@ -161,7 +161,9 @@ def test_rescan_matches_incremental_index():
     run_blocks(sim, 2)
     update_record(wallets[0], record_for(kps[0], "a", price=7))
     run_blocks(sim, 2)
-    rescanned = Registry.rescan(sim.chain)
+    rescanned = Registry()  # the reference: the index rebuilt from genesis in one pass
+    for block in sim.chain.blocks:
+        rescanned.apply_block(block)
     assert rescanned.dump() == registry.dump()
 
 

@@ -8,12 +8,7 @@ from hypothesis import given, settings, strategies as st
 from sensormarket.cli import bundled_scenarios, main
 from sensormarket.errors import ParseError
 from sensormarket.ledger import block_hash, deserialize_block
-from sensormarket.scenario import (
-    ScenarioRun,
-    load_scenario,
-    parse_scenario,
-    run_scenario,
-)
+from sensormarket.scenario import ScenarioRun, load_scenario, parse_scenario
 
 
 EXPECTED_SCENARIOS = {
@@ -286,9 +281,9 @@ def test_parse_accepts_bundled_files():
 
 def test_all_bundled_scenarios_pass():
     for name, path in bundled_scenarios().items():
-        report, code = run_scenario(path)
+        report = ScenarioRun(load_scenario(path)).execute()
         failed = [r for r in report["assertions"] if not r["ok"]]
-        assert code == 0, f"{name}: {failed}"
+        assert not failed, f"{name}: {failed}"
 
 
 def test_a_deeper_oracle_sees_its_datum_later():
@@ -308,11 +303,11 @@ def test_a_deeper_oracle_sees_its_datum_later():
 
 def test_report_digest_deterministic_per_seed():
     path = bundled("atomic_exchange")
-    first, _ = run_scenario(path)
-    second, _ = run_scenario(path)
+    first = ScenarioRun(load_scenario(path)).execute()
+    second = ScenarioRun(load_scenario(path)).execute()
     assert first["digest"] == second["digest"]
-    other_seed, code = run_scenario(path, seed=999)
-    assert code == 0  # assertions are seed-independent
+    other_seed = ScenarioRun(load_scenario(path, seed=999)).execute()
+    assert all(r["ok"] for r in other_seed["assertions"])  # assertions are seed-independent
     assert other_seed["digest"] != first["digest"]  # timing moved
 
 
@@ -504,6 +499,25 @@ def test_cli_step_out_of_range_at_run_time_does_not_crash(tmp_path, step, code):
     target = tmp_path / "late.json"
     target.write_text(json.dumps(doc))
     assert main(["run", str(target), "--report", str(tmp_path / "report.json")]) == code
+
+
+def test_cli_update_waits_for_its_name(tmp_path):
+    # The update fires before the registration confirms; it waits for the
+    # name, as a purchase does, instead of ending the run.
+    doc = {
+        "name": "early_update",
+        "actors": [{"id": "pm25", "kind": "sensor", "funding": 1000}],
+        "steps": [{"at": 0, "op": "register_sensor", "actor": "pm25"},
+                  {"at": 0, "op": "update_record", "actor": "pm25", "name": "pm25",
+                   "price": 250}],
+    }
+    target = tmp_path / "early_update.json"
+    target.write_text(json.dumps(doc))
+    report_path = tmp_path / "report.json"
+    assert main(["run", str(target), "--report", str(report_path)]) == 0
+    report = json.loads(report_path.read_text())
+    assert report["registry_by_name"]["pm25"]["price_per_datum"] == 250
+    assert report["event_counts"] == {}
 
 
 def test_cli_failing_assertion_exits_one(tmp_path, capsys):

@@ -118,9 +118,9 @@ def test_rejected_block_keeps_the_memo_of_its_valid_txs():
 
 
 def test_simulation_holds_no_memo_for_confirmed_txs():
-    sim = make_sim([(A, 10_000)], num_nodes=2)
+    sim = make_sim([(A, 10_000)], num_nodes=2, default_fee=10)
     wallet = Wallet(A, sim.nodes[0])
-    tx = wallet.create_tx([TxOutput(100, PayToKeyHash(B.key_digest))], fee=10)
+    tx = wallet.create_tx([TxOutput(100, PayToKeyHash(B.key_digest))])
     sim.broadcast(tx, sim.nodes[0])
     assert verified_signatures(tx)
     run_blocks(sim, 2)
@@ -133,12 +133,12 @@ def test_verify_calls_per_confirmed_tx(verify_calls):
     # change.  Each node's mempool and the block apply all check every tx;
     # without the cache that is three or more verifies per tx.
     keys = [make_keypair(i) for i in range(4)]
-    sim = make_sim([(k, 50_000) for k in keys], num_nodes=2)
+    sim = make_sim([(k, 50_000) for k in keys], num_nodes=2, default_fee=20)
     wallets = [Wallet(k, sim.nodes[i % 2]) for i, k in enumerate(keys)]
     for round_ in range(6):
         for i, wallet in enumerate(wallets):
             payee = keys[(i + round_ + 1) % len(keys)]
-            tx = wallet.create_tx([TxOutput(100 + round_, PayToKeyHash(payee.key_digest))], fee=20)
+            tx = wallet.create_tx([TxOutput(100 + round_, PayToKeyHash(payee.key_digest))])
             sim.broadcast(tx, wallet.node)
         run_blocks(sim, 1)
     run_blocks(sim, 3)

@@ -14,7 +14,7 @@ from sensormarket.ledger import (
 )
 from sensormarket.wallet import Wallet, sign_inputs
 
-from conftest import make_keypair, make_sim, run_blocks
+from conftest import make_keypair, make_sim, run_blocks, tx_fee
 
 
 def test_balance_tracks_confirmed_outputs():
@@ -22,7 +22,7 @@ def test_balance_tracks_confirmed_outputs():
     sim = make_sim([(kp, 10_000)])
     wallet = Wallet(kp, sim.nodes[0])
     assert wallet.balance == 10_000
-    tx = wallet.create_tx([TxOutput(3_000, PayToKeyHash(other.key_digest))], fee=50)
+    tx = wallet.create_tx([TxOutput(3_000, PayToKeyHash(other.key_digest))])
     # Inputs deducted immediately, change credited immediately.
     assert wallet.balance == 10_000 - 3_000 - 50
     sim.broadcast(tx, sim.nodes[0])
@@ -37,8 +37,8 @@ def test_change_spendable_before_confirmation():
     sim = make_sim([(kp, 10_000)])
     wallet = Wallet(kp, sim.nodes[0])
     payment = TxOutput(1_000, PayToKeyHash(other.key_digest))
-    t1 = wallet.create_tx([payment], fee=50)
-    t2 = wallet.create_tx([payment], fee=50)  # spends t1's change
+    t1 = wallet.create_tx([payment])
+    t2 = wallet.create_tx([payment])  # spends t1's change
     assert t2.inputs[0].prev_txid == txid(t1)
     sim.broadcast(t1, sim.nodes[0])
     sim.broadcast(t2, sim.nodes[0])
@@ -46,12 +46,19 @@ def test_change_spendable_before_confirmation():
     assert Wallet(other, sim.nodes[0]).balance == 2_000
 
 
+def test_create_tx_pays_the_default_fee():
+    kp, other = make_keypair(0), make_keypair(1)
+    sim = make_sim([(kp, 1_000)], default_fee=7)
+    tx = Wallet(kp, sim.nodes[0]).create_tx([TxOutput(300, PayToKeyHash(other.key_digest))])
+    assert tx_fee(tx, sim.chain.utxo) == 7
+
+
 def test_insufficient_funds():
     kp, other = make_keypair(0), make_keypair(1)
-    sim = make_sim([(kp, 100)])
+    sim = make_sim([(kp, 100)], default_fee=1)
     wallet = Wallet(kp, sim.nodes[0])
     with pytest.raises(InsufficientFunds):
-        wallet.create_tx([TxOutput(100, PayToKeyHash(other.key_digest))], fee=1)
+        wallet.create_tx([TxOutput(100, PayToKeyHash(other.key_digest))])
 
 
 def test_exact_utxo_split_and_take():
@@ -60,7 +67,7 @@ def test_exact_utxo_split_and_take():
     wallet = Wallet(kp, sim.nodes[0])
     with pytest.raises(InsufficientFunds):
         wallet.take_exact_utxo(400)  # no output of exactly 400 yet
-    split = wallet.create_tx([TxOutput(400, PayToKeyHash(kp.key_digest))], fee=50)
+    split = wallet.create_tx([TxOutput(400, PayToKeyHash(kp.key_digest))])
     sim.broadcast(split, sim.nodes[0])
     run_blocks(sim, 2)
     outpoint = wallet.take_exact_utxo(400)
@@ -75,7 +82,7 @@ def test_wallet_on_existing_chain_scans_history():
     kp, other = make_keypair(0), make_keypair(1)
     sim = make_sim([(kp, 10_000)])
     wallet = Wallet(kp, sim.nodes[0])
-    sim.broadcast(wallet.create_tx([TxOutput(2_500, PayToKeyHash(other.key_digest))], fee=50),
+    sim.broadcast(wallet.create_tx([TxOutput(2_500, PayToKeyHash(other.key_digest))]),
                   sim.nodes[0])
     run_blocks(sim, 2)
     late = Wallet(other, sim.nodes[0])
